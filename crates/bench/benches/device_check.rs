@@ -52,9 +52,8 @@ fn device_check(c: &mut Criterion) {
     group.sample_size(10);
     for prefixes in [1000usize, 4000] {
         let (fib, contracts) = synth_device(prefixes, 4);
-        let one = DeviceContracts {
-            contracts: vec![contracts.contracts[1].clone()],
-        };
+        let second = contracts.iter().nth(1).expect("a specific contract");
+        let one = DeviceContracts::from_contracts(vec![second.to_contract()]);
         group.bench_with_input(
             BenchmarkId::new("smt_one_contract", prefixes),
             &prefixes,

@@ -4,8 +4,8 @@
 //! on average".
 //!
 //! Contracts are streamed per device (the contract-generator
-//! microservice's shape): a 10⁴-router datacenter carries ~10⁸
-//! contracts, far too many to materialize at once.
+//! microservice's shape); each device's ~10⁴ contracts are a view over
+//! the fabric's shared prefix table.
 //!
 //! Output row: devices, contracts, BGP convergence time, accumulated
 //! contract-generation time, accumulated single-threaded validation

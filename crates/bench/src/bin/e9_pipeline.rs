@@ -104,12 +104,11 @@ fn dashboard_query_regression(meta: &MetadataService) {
         let device = DeviceId(i);
         let report = if i < dirty {
             let contract = contracts[i as usize]
-                .contracts
-                .first()
-                .expect("every low-id device carries contracts")
-                .clone();
+                .iter()
+                .next()
+                .expect("every low-id device carries contracts");
             ValidationReport {
-                violations: vec![Violation::of(&contract, ViolationReason::MissingRoute)],
+                violations: vec![Violation::of(contract, ViolationReason::MissingRoute)],
                 contracts_checked: 1,
                 solver_stats: Default::default(),
             }

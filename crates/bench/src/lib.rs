@@ -43,10 +43,7 @@ pub fn synth_device(prefixes: usize, hops: usize) -> (Fib, DeviceContracts) {
             expectation: Expectation::NextHops(uplinks.clone()),
         });
     }
-    (
-        fib.finish(),
-        DeviceContracts { contracts },
-    )
+    (fib.finish(), DeviceContracts::from_contracts(contracts))
 }
 
 /// Clos shapes used by the scale benchmarks, smallest to largest.

@@ -4,13 +4,12 @@
 //! (change-ordering search) evaluate "what does the fabric look like
 //! after this perturbation" states by restarting the routing fixed
 //! point from a converged baseline and revalidating only the devices
-//! whose FIBs changed. The pieces that make that cheap — per-device
-//! contract locators for the affected-subset fast path, the clean-prior
-//! pruned revalidation, and the `(device, fib_hash)` verdict memo —
-//! depend only on the contract set, so they live here and are built
-//! once per explorer.
+//! whose FIBs changed. The pieces that make that cheap — the
+//! clean-prior pruned revalidation over the contract store's
+//! affected-contract lookup, and the `(device, fib_hash)` verdict
+//! memo — live here.
 
-use crate::contracts::{ContractKind, DeviceContracts};
+use crate::contracts::DeviceContracts;
 use crate::engine::Engine;
 use crate::report::{risk_of, ValidationReport, Violation, ViolationReason};
 use crate::whatif::FailCondition;
@@ -21,98 +20,6 @@ use netprim::Prefix;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
-/// `(address, length)` preorder key — the order the trie engine sweeps
-/// contracts in, reused here for the locator's binary searches.
-#[inline]
-fn locator_key(addr: u32, len: u8) -> u64 {
-    (u64::from(addr) << 6) | u64::from(len)
-}
-
-/// Per-device contract index for the delta hot path: finds the
-/// contracts a touched-prefix set can affect by binary search instead
-/// of scanning the whole contract list once per scenario. The
-/// affectedness criterion is exactly [`Engine::validate_delta`]'s —
-/// prefix overlap for specifics, a touched default route for default
-/// contracts — so validating just the located subset against a clean
-/// prior yields the same report as the engine's own full scan (gated
-/// by the equivalence suites and the difftest oracles).
-#[derive(PartialEq, Eq, Hash)]
-pub(crate) struct ContractLocator {
-    /// Specific contracts as `(locator_key, contract index)`, sorted.
-    specs: Vec<(u64, u32)>,
-    /// Distinct specific-contract prefix lengths, descending.
-    lengths: Vec<u8>,
-    /// Default-kind contract indices.
-    defaults: Vec<u32>,
-}
-
-impl ContractLocator {
-    fn build(dc: &DeviceContracts) -> ContractLocator {
-        let mut specs = Vec::new();
-        let mut defaults = Vec::new();
-        let mut lengths: Vec<u8> = Vec::new();
-        for (i, c) in dc.contracts.iter().enumerate() {
-            match c.kind {
-                ContractKind::Default => defaults.push(i as u32),
-                ContractKind::Specific => {
-                    specs.push((locator_key(c.prefix.addr().0, c.prefix.len()), i as u32));
-                    if !lengths.contains(&c.prefix.len()) {
-                        lengths.push(c.prefix.len());
-                    }
-                }
-            }
-        }
-        specs.sort_unstable();
-        lengths.sort_unstable_by(|a, b| b.cmp(a));
-        ContractLocator {
-            specs,
-            lengths,
-            defaults,
-        }
-    }
-
-    /// Indices of the contracts a delta over `touched` can affect,
-    /// ascending (= contract order) and deduplicated.
-    fn affected(&self, touched: &[Prefix]) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        for &p in touched {
-            if p.is_default() {
-                out.extend_from_slice(&self.defaults);
-            }
-            // Contracts whose address lies inside the touched block
-            // all overlap it: an aligned block no larger than `p`'s
-            // starting inside it is contained, and a larger one can
-            // only start at `p`'s own address, where it contains `p`.
-            let lo = u64::from(p.addr().0) << 6;
-            let hi = (u64::from(p.addr().0) + (1u64 << (32 - p.len()))) << 6;
-            let a = self.specs.partition_point(|&(k, _)| k < lo);
-            let b = a + self.specs[a..].partition_point(|&(k, _)| k < hi);
-            out.extend(self.specs[a..b].iter().map(|&(_, i)| i));
-            // Strictly-shorter containing contracts sit at the touched
-            // address truncated to each contract length (same-prefix
-            // contracts share a key, so take the whole key run).
-            for &l in &self.lengths {
-                if l >= p.len() {
-                    continue;
-                }
-                let mask = if l == 0 { 0 } else { u32::MAX << (32 - l) };
-                let k = locator_key(p.addr().0 & mask, l);
-                let a = self.specs.partition_point(|&(k2, _)| k2 < k);
-                let b = a + self.specs[a..].partition_point(|&(k2, _)| k2 <= k);
-                out.extend(self.specs[a..b].iter().map(|&(_, i)| i));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
-
-/// Per-(locator, touched list) memo of affected-contract indices; on
-/// symmetric fabrics most devices share a contract layout, so one
-/// lookup serves many devices.
-pub(crate) type AffectedCache = Vec<HashMap<Vec<Prefix>, Vec<u32>>>;
-
 /// Cross-state verdict memo: validation is pure in the FIB bytes and
 /// the contract set, so `(device, fib content hash)` fully determines
 /// the report no matter which fault or change context produced the
@@ -120,112 +27,54 @@ pub(crate) type AffectedCache = Vec<HashMap<Vec<Prefix>, Vec<u32>>>;
 /// `(fib_hash, epoch)` key sound across scenarios.
 pub(crate) type VerdictMemo = RwLock<HashMap<(u32, u64), ValidationReport>>;
 
-/// The deduplicated per-device contract locators, built once per
-/// explorer (they depend only on the contract set).
-pub(crate) struct DeltaMap {
-    /// `locator_of[device]` picks the device's representative locator.
-    locator_of: Vec<u32>,
-    /// Deduplicated locators. Equal locators are pure-function-equal:
-    /// `affected` depends only on the locator content and the touched
-    /// list, so one representative serves every device with that
-    /// layout.
-    locators: Vec<ContractLocator>,
-}
-
-impl DeltaMap {
-    pub(crate) fn build(contracts: &[DeviceContracts]) -> DeltaMap {
-        let mut locators: Vec<ContractLocator> = Vec::new();
-        let mut locator_ids: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut locator_of: Vec<u32> = Vec::with_capacity(contracts.len());
-        for dc in contracts.iter() {
-            let loc = ContractLocator::build(dc);
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::hash::Hash::hash(&loc, &mut h);
-            let key = std::hash::Hasher::finish(&h);
-            let ids = locator_ids.entry(key).or_default();
-            let id = match ids.iter().find(|&&i| locators[i as usize] == loc) {
-                Some(&i) => i,
-                None => {
-                    locators.push(loc);
-                    let i = (locators.len() - 1) as u32;
-                    ids.push(i);
-                    i
-                }
-            };
-            locator_of.push(id);
-        }
-        DeltaMap {
-            locator_of,
-            locators,
-        }
+/// Delta-validate one changed device against its prior.
+///
+/// With a clean prior (the overwhelmingly common case — healthy
+/// fabrics validate clean), unaffected contracts carry nothing over,
+/// so the contracts the delta can affect (the store's table lookup,
+/// the same one [`Engine::validate_delta`] uses in the trie engine)
+/// are validated on their own: the engine sees only the contracts it
+/// would have re-checked anyway, and the subset's clean prior is the
+/// genuine prior of those contracts. The subset keeps list order, so
+/// violations come back in the full scan's emission order. A non-clean
+/// prior falls back to the engine's own carry logic.
+pub(crate) fn revalidate(
+    engine: &dyn Engine,
+    contracts: &DeviceContracts,
+    prior: &ValidationReport,
+    fib: &Fib,
+    touched: &[Prefix],
+) -> ValidationReport {
+    // `validate_delta` only consumes the delta's prefix set (which
+    // contracts are affected) and its rule count (the full-churn
+    // fallback heuristic) — never the rule payloads. The restart
+    // already hands us the touched prefixes, so the delta is
+    // synthesized without re-searching either table; which bucket the
+    // prefixes land in is immaterial.
+    let delta = FibDelta {
+        device: fib.device().0,
+        removed: touched.to_vec(),
+        ..FibDelta::default()
+    };
+    if !prior.violations.is_empty() {
+        return engine.validate_delta(fib, contracts, &delta, prior);
     }
-
-    /// A fresh (empty) per-evaluation affected-contract cache.
-    pub(crate) fn new_cache(&self) -> AffectedCache {
-        (0..self.locators.len()).map(|_| HashMap::new()).collect()
+    let mut affected: Vec<_> = contracts.affected(touched).collect();
+    if affected.is_empty() {
+        return prior.clone();
     }
-
-    /// Delta-validate one changed device against its prior.
-    ///
-    /// With a clean prior (the overwhelmingly common case — healthy
-    /// fabrics validate clean), unaffected contracts carry nothing
-    /// over, so the locator's affected subset is validated on its own:
-    /// the engine sees only the contracts it would have re-checked
-    /// anyway, and the subset's clean prior is the genuine prior of
-    /// those contracts. Violations come back ordered by subset index,
-    /// which is ascending original contract order — exactly the full
-    /// scan's emission order. A non-clean prior falls back to the
-    /// engine's own carry logic.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn revalidate(
-        &self,
-        engine: &dyn Engine,
-        contracts: &[DeviceContracts],
-        prior: &ValidationReport,
-        du: usize,
-        fib: &Fib,
-        touched: &[Prefix],
-        aff_cache: &mut AffectedCache,
-    ) -> ValidationReport {
-        // `validate_delta` only consumes the delta's prefix set (which
-        // contracts are affected) and its rule count (the full-churn
-        // fallback heuristic) — never the rule payloads. The restart
-        // already hands us the touched prefixes, so the delta is
-        // synthesized without re-searching either table; which bucket
-        // the prefixes land in is immaterial.
-        let delta = FibDelta {
-            device: fib.device().0,
-            removed: touched.to_vec(),
-            ..FibDelta::default()
-        };
-        if !prior.violations.is_empty() {
-            return engine.validate_delta(fib, &contracts[du], &delta, prior);
-        }
-        let loc = self.locator_of[du] as usize;
-        if !aff_cache[loc].contains_key(touched) {
-            let v = self.locators[loc].affected(touched);
-            aff_cache[loc].insert(touched.to_vec(), v);
-        }
-        let aff = &aff_cache[loc][touched];
-        if aff.is_empty() {
-            return prior.clone();
-        }
-        let pruned = DeviceContracts {
-            contracts: aff
-                .iter()
-                .map(|&i| contracts[du].contracts[i as usize].clone())
-                .collect(),
-        };
-        let clean = ValidationReport {
-            violations: Vec::new(),
-            contracts_checked: pruned.len(),
-            solver_stats: Default::default(),
-        };
-        let sub = engine.validate_delta(fib, &pruned, &delta, &clean);
-        ValidationReport {
-            contracts_checked: contracts[du].len(),
-            ..sub
-        }
+    affected.sort_unstable_by_key(|&(key, _)| key);
+    let pruned =
+        DeviceContracts::from_contracts(affected.iter().map(|(_, c)| c.to_contract()).collect());
+    let clean = ValidationReport {
+        violations: Vec::new(),
+        contracts_checked: pruned.len(),
+        solver_stats: Default::default(),
+    };
+    let sub = engine.validate_delta(fib, &pruned, &delta, &clean);
+    ValidationReport {
+        contracts_checked: contracts.len(),
+        ..sub
     }
 }
 

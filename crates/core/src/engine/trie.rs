@@ -11,9 +11,11 @@
 //! arena — built in O(n) with a stack, no per-bit pointer chasing.
 //!
 //! **Batched traversal.** Instead of one candidate walk per contract,
-//! the specific contracts are sorted into the same `(address, length)`
-//! order and judged in a single left-to-right sweep (the intent-based
-//! slicing idea: contracts sharing a prefix subtree share the walk).
+//! the specific contracts are walked in the same `(address, length)`
+//! order — precomputed once per fabric by the contract store's shared
+//! prefix table — and judged in a single left-to-right sweep (the
+//! intent-based slicing idea: contracts sharing a prefix subtree share
+//! the walk).
 //! The sweep keeps a stack of open ancestors — rules containing the
 //! current contract — and a cursor into the node array; advancing to
 //! the next contract pushes the rules that contain it and skips
@@ -43,7 +45,7 @@
 //! this engine is orders of magnitude faster than the SMT path
 //! (benchmarks E1, E17).
 
-use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
+use crate::contracts::{dfs_key, ContractKind, ContractRef, DeviceContracts, Expectation};
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
 use bgpsim::{Fib, FibEntry};
@@ -51,15 +53,8 @@ use netprim::wire::FibDelta;
 use netprim::{HopSet, IpRange, Ipv4, Prefix};
 use std::collections::HashMap;
 
-
 /// Sentinel for "no node" in the flat arena.
 const NONE: u32 = u32::MAX;
-
-/// DFS-preorder sort key: `(address, length)` packed into one word.
-#[inline]
-fn dfs_key(p: Prefix) -> u64 {
-    (u64::from(p.addr().0) << 6) | u64::from(p.len())
-}
 
 /// One rule in the flat trie arena.
 struct FlatNode {
@@ -430,9 +425,9 @@ impl TrieEngine {
         TrieEngine { strict: false }
     }
 
-    fn check_default(fib: &Fib, c: &Contract, out: &mut Vec<Violation>) {
+    fn check_default(fib: &Fib, c: ContractRef<'_>, out: &mut Vec<Violation>) {
         let entry = fib.default_entry();
-        match (&c.expectation, entry) {
+        match (c.expectation, entry) {
             (Expectation::NextHops(expected), Some(e)) => {
                 if e.local {
                     out.push(Violation::of(c, ViolationReason::LocalityMismatch));
@@ -465,20 +460,19 @@ impl TrieEngine {
 
     /// Judge every specific contract in one sweep over the flat trie.
     ///
-    /// `specs` is `(input index, contract)`; emitted violations are
-    /// tagged with the input index so the caller can restore contract
-    /// order. Sorting is stable, so same-prefix contracts are judged
-    /// in input order — which, with the sweep-local `prior_missing`
-    /// flag, reproduces the reference engine's cross-contract
-    /// `MissingRoute` dedup exactly.
-    fn judge_specifics(
+    /// `specs` is `(sort key, contract)` in DFS preorder, as the
+    /// contract store walks it; emitted violations are tagged with the
+    /// key so the caller can restore contract order. Same-prefix
+    /// contracts arrive in list order — which, with the sweep-local
+    /// `prior_missing` flag, reproduces the reference engine's
+    /// cross-contract `MissingRoute` dedup exactly.
+    fn judge_specifics<'c>(
         &self,
         fib: &Fib,
         trie: &FlatTrie,
-        specs: &mut [(u32, &Contract)],
+        specs: impl Iterator<Item = (u32, ContractRef<'c>)>,
         tagged: &mut Vec<(u32, Violation)>,
     ) {
-        specs.sort_by_key(|(_, c)| dfs_key(c.prefix));
         let mut codex = HopCodex::new(fib);
         let nodes = &trie.nodes;
         let n = nodes.len();
@@ -497,7 +491,7 @@ impl TrieEngine {
         let mut prior_prefix: Option<Prefix> = None;
         let mut prior_missing = false;
 
-        for &(idx, c) in specs.iter() {
+        for (idx, c) in specs {
             if prior_prefix != Some(c.prefix) {
                 prior_prefix = Some(c.prefix);
                 prior_missing = false;
@@ -557,15 +551,15 @@ impl TrieEngine {
     /// lookup strategy differs. Worth it when a delta re-checks a
     /// handful of contracts in a large table: O(specs · runs · log n)
     /// against the sweep's O(n) trie build.
+    ///
+    /// `specs` comes in the sweep's DFS preorder — the cross-contract
+    /// `MissingRoute` dedup must see the same neighbors.
     fn judge_specifics_direct(
         &self,
         fib: &Fib,
-        specs: &mut [(u32, &Contract)],
+        specs: &[(u32, ContractRef<'_>)],
         tagged: &mut Vec<(u32, Violation)>,
     ) {
-        // Same contract order as the sweep — the cross-contract
-        // `MissingRoute` dedup must see the same neighbors.
-        specs.sort_by_key(|(_, c)| dfs_key(c.prefix));
         let entries = fib.entries();
         // Length-run boundaries in storage order (descending length).
         let mut runs: Vec<(u32, u32)> = Vec::new();
@@ -583,7 +577,7 @@ impl TrieEngine {
         let mut cviol: Vec<Violation> = Vec::new();
         let mut prior_prefix: Option<Prefix> = None;
         let mut prior_missing = false;
-        for &(idx, c) in specs.iter() {
+        for &(idx, c) in specs {
             if prior_prefix != Some(c.prefix) {
                 prior_prefix = Some(c.prefix);
                 prior_missing = false;
@@ -638,13 +632,13 @@ impl TrieEngine {
         fib: &Fib,
         descendants: &mut [u32],
         ancestors: &[u32],
-        c: &Contract,
+        c: ContractRef<'_>,
         codex: &mut HopCodex,
         prior_missing: bool,
         out: &mut Vec<Violation>,
     ) {
         let entries = fib.entries();
-        let expected = match &c.expectation {
+        let expected = match c.expectation {
             Expectation::NextHops(h) => h,
             Expectation::Local => {
                 // Not generated today, but handle defensively: the
@@ -734,18 +728,6 @@ impl TrieEngine {
         }
     }
 
-    /// A contract's verdict can only change if the delta touched a rule
-    /// inside its candidate set `{r | C ⊆ r ∨ r ⊆ C}` — i.e. a rule
-    /// whose prefix overlaps the contract's (ancestor or descendant).
-    /// Default contracts are special-cased: [`Self::check_default`]
-    /// reads nothing but the `0.0.0.0/0` entry.
-    fn contract_affected(c: &Contract, touched: &[Prefix]) -> bool {
-        match c.kind {
-            ContractKind::Default => touched.iter().any(|p| p.is_default()),
-            ContractKind::Specific => touched.iter().any(|p| p.overlaps(c.prefix)),
-        }
-    }
-
     fn finish(
         mut tagged: Vec<(u32, Violation)>,
         contracts: &DeviceContracts,
@@ -762,26 +744,22 @@ impl TrieEngine {
 impl Engine for TrieEngine {
     fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
         let mut tagged: Vec<(u32, Violation)> = Vec::new();
-        let mut specs: Vec<(u32, &Contract)> = Vec::new();
         let mut buf: Vec<Violation> = Vec::new();
-        for (i, c) in contracts.contracts.iter().enumerate() {
-            match c.kind {
-                ContractKind::Default => {
-                    Self::check_default(fib, c, &mut buf);
-                    tagged.extend(buf.drain(..).map(|v| (i as u32, v)));
-                }
-                ContractKind::Specific => specs.push((i as u32, c)),
-            }
+        for (key, c) in contracts.defaults() {
+            Self::check_default(fib, c, &mut buf);
+            tagged.extend(buf.drain(..).map(|v| (key, v)));
         }
-        if !specs.is_empty() {
+        let mut specs = contracts.specifics_dfs().peekable();
+        if specs.peek().is_some() {
             let trie = FlatTrie::build(fib);
-            self.judge_specifics(fib, &trie, &mut specs, &mut tagged);
+            self.judge_specifics(fib, &trie, specs, &mut tagged);
         }
         Self::finish(tagged, contracts)
     }
 
     /// The incremental path (§2.6.1's continuous monitoring workload):
-    /// re-check only contracts whose prefix space the delta touched and
+    /// re-check only the contracts whose prefix space the delta touched
+    /// — found by the contract store's table lookup, not a scan — and
     /// carry every other contract's verdict over from `prior`. Verdicts
     /// are emitted in contract order either way, so the result is
     /// identical — violation for violation — to a full pass. (The
@@ -805,26 +783,35 @@ impl Engine for TrieEngine {
             return self.validate_device(fib, contracts);
         }
         let touched: Vec<Prefix> = delta.touched_prefixes().collect();
-        // Prior verdicts by contract identity, in prior (= contract)
-        // order within each group.
-        let mut carry: HashMap<(Prefix, ContractKind), Vec<&Violation>> = HashMap::new();
-        for v in &prior.violations {
-            carry.entry((v.prefix, v.kind)).or_default().push(v);
-        }
         let mut tagged: Vec<(u32, Violation)> = Vec::new();
-        let mut specs: Vec<(u32, &Contract)> = Vec::new();
+        let mut specs: Vec<(u32, ContractRef<'_>)> = Vec::new();
         let mut buf: Vec<Violation> = Vec::new();
-        for (i, c) in contracts.contracts.iter().enumerate() {
-            if Self::contract_affected(c, &touched) {
-                match c.kind {
-                    ContractKind::Default => {
-                        Self::check_default(fib, c, &mut buf);
-                        tagged.extend(buf.drain(..).map(|v| (i as u32, v)));
-                    }
-                    ContractKind::Specific => specs.push((i as u32, c)),
+        let mut affected: Vec<u32> = Vec::new();
+        for (key, c) in contracts.affected(&touched) {
+            affected.push(key);
+            match c.kind {
+                ContractKind::Default => {
+                    Self::check_default(fib, c, &mut buf);
+                    tagged.extend(buf.drain(..).map(|v| (key, v)));
                 }
-            } else if let Some(prev) = carry.get(&(c.prefix, c.kind)) {
-                tagged.extend(prev.iter().map(|&v| (i as u32, v.clone())));
+                ContractKind::Specific => specs.push((key, c)),
+            }
+        }
+        if !prior.violations.is_empty() {
+            // Prior verdicts by contract identity, in prior (= contract)
+            // order within each group, carried to every unaffected
+            // contract of that identity.
+            let mut carry: HashMap<(Prefix, ContractKind), Vec<&Violation>> = HashMap::new();
+            for v in &prior.violations {
+                carry.entry((v.prefix, v.kind)).or_default().push(v);
+            }
+            affected.sort_unstable();
+            for (key, c) in contracts.keyed() {
+                if affected.binary_search(&key).is_err() {
+                    if let Some(prev) = carry.get(&(c.prefix, c.kind)) {
+                        tagged.extend(prev.iter().map(|&v| (key, v.clone())));
+                    }
+                }
             }
         }
         if !specs.is_empty() {
@@ -834,10 +821,10 @@ impl Engine for TrieEngine {
             // sweep's per-scenario shape: one or two touched prefixes
             // per changed device). Both produce identical verdicts.
             if specs.len() * 16 <= fib.len() {
-                self.judge_specifics_direct(fib, &mut specs, &mut tagged);
+                self.judge_specifics_direct(fib, &specs, &mut tagged);
             } else {
                 let trie = FlatTrie::build(fib);
-                self.judge_specifics(fib, &trie, &mut specs, &mut tagged);
+                self.judge_specifics(fib, &trie, specs.into_iter(), &mut tagged);
             }
         }
         Self::finish(tagged, contracts)
@@ -850,6 +837,7 @@ impl Engine for TrieEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contracts::Contract;
     use crate::engine::testutil::{fig3_faulted, fig3_healthy};
     use crate::report::ViolationReason as VR;
 
@@ -941,14 +929,12 @@ mod tests {
         b.push("10.0.0.0/31".parse().unwrap(), bad, false);
         b.push("10.0.0.0/30".parse().unwrap(), good.clone(), false);
         let fib = b.finish();
-        let dc = DeviceContracts {
-            contracts: vec![Contract {
-                device: dctopo::DeviceId(0),
-                prefix: "10.0.0.0/30".parse().unwrap(),
-                kind: ContractKind::Specific,
-                expectation: Expectation::NextHops(good.into()),
-            }],
-        };
+        let dc = DeviceContracts::from_contracts(vec![Contract {
+            device: dctopo::DeviceId(0),
+            prefix: "10.0.0.0/30".parse().unwrap(),
+            kind: ContractKind::Specific,
+            expectation: Expectation::NextHops(good.into()),
+        }]);
         for eng in [TrieEngine::new(), TrieEngine::semantic()] {
             let r = eng.validate_device(&fib, &dc);
             assert!(r.is_clean(), "{:?}", r.violations);
@@ -1046,9 +1032,7 @@ mod tests {
             kind: ContractKind::Specific,
             expectation: Expectation::NextHops(expected.into()),
         };
-        let dc = DeviceContracts {
-            contracts: vec![contract],
-        };
+        let dc = DeviceContracts::from_contracts(vec![contract]);
         let r = TrieEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1);
         match &r.violations[0].reason {
@@ -1079,9 +1063,7 @@ mod tests {
             kind: ContractKind::Specific,
             expectation: Expectation::NextHops(expected.into()),
         };
-        let dc = DeviceContracts {
-            contracts: vec![contract],
-        };
+        let dc = DeviceContracts::from_contracts(vec![contract]);
         let r = TrieEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].reason, VR::MissingRoute);
@@ -1277,18 +1259,16 @@ mod tests {
             kind: ContractKind::Specific,
             expectation: Expectation::NextHops(hops.to_vec().into()),
         };
-        let dc = DeviceContracts {
-            contracts: vec![
-                // Group 1: exact hit (fast path), default irrelevant.
-                spec("10.0.0.0/24", &good),
-                // Group 2: no specific at all — served entirely by the
-                // default route, whose hops match.
-                spec("15.0.0.0/24", &dflt),
-                // Group 3: /25 covers half, default (wrong hops for
-                // this contract) covers the other half.
-                spec("20.0.0.0/24", &good),
-            ],
-        };
+        let dc = DeviceContracts::from_contracts(vec![
+            // Group 1: exact hit (fast path), default irrelevant.
+            spec("10.0.0.0/24", &good),
+            // Group 2: no specific at all — served entirely by the
+            // default route, whose hops match.
+            spec("15.0.0.0/24", &dflt),
+            // Group 3: /25 covers half, default (wrong hops for
+            // this contract) covers the other half.
+            spec("20.0.0.0/24", &good),
+        ]);
         let r = TrieEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].prefix, "20.0.0.0/24".parse::<Prefix>().unwrap());

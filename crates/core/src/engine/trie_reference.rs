@@ -11,7 +11,7 @@
 //! speedup with verdict identity. It must stay semantically frozen;
 //! performance work goes in [`crate::engine::trie`].
 
-use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
+use crate::contracts::{ContractKind, ContractRef, DeviceContracts, Expectation};
 use crate::engine::trie::Coverage;
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
@@ -131,9 +131,9 @@ impl ReferenceTrieEngine {
         ReferenceTrieEngine { strict: false }
     }
 
-    fn check_default(fib: &Fib, c: &Contract, out: &mut Vec<Violation>) {
+    fn check_default(fib: &Fib, c: ContractRef<'_>, out: &mut Vec<Violation>) {
         let entry = fib.default_entry();
-        match (&c.expectation, entry) {
+        match (c.expectation, entry) {
             (Expectation::NextHops(expected), Some(e)) => {
                 if e.local {
                     out.push(Violation::of(c, ViolationReason::LocalityMismatch));
@@ -164,8 +164,14 @@ impl ReferenceTrieEngine {
         }
     }
 
-    fn check_specific(&self, fib: &Fib, trie: &Trie, c: &Contract, out: &mut Vec<Violation>) {
-        let expected = match &c.expectation {
+    fn check_specific(
+        &self,
+        fib: &Fib,
+        trie: &Trie,
+        c: ContractRef<'_>,
+        out: &mut Vec<Violation>,
+    ) {
+        let expected = match c.expectation {
             Expectation::NextHops(h) => h,
             Expectation::Local => {
                 // Not generated today, but handle defensively: the
@@ -231,7 +237,7 @@ impl ReferenceTrieEngine {
 
     /// A contract's verdict can only change if the delta touched a rule
     /// inside its candidate set (ancestor or descendant prefix).
-    fn contract_affected(c: &Contract, touched: &[Prefix]) -> bool {
+    fn contract_affected(c: ContractRef<'_>, touched: &[Prefix]) -> bool {
         match c.kind {
             ContractKind::Default => touched.iter().any(|p| p.is_default()),
             ContractKind::Specific => touched.iter().any(|p| p.overlaps(c.prefix)),
@@ -243,7 +249,7 @@ impl Engine for ReferenceTrieEngine {
     fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
         let trie = Trie::build(fib);
         let mut violations = Vec::new();
-        for c in &contracts.contracts {
+        for c in contracts.iter() {
             match c.kind {
                 ContractKind::Default => Self::check_default(fib, c, &mut violations),
                 ContractKind::Specific => self.check_specific(fib, &trie, c, &mut violations),
@@ -275,7 +281,7 @@ impl Engine for ReferenceTrieEngine {
         }
         let mut trie = None;
         let mut violations = Vec::new();
-        for c in &contracts.contracts {
+        for c in contracts.iter() {
             if Self::contract_affected(c, &touched) {
                 match c.kind {
                     ContractKind::Default => Self::check_default(fib, c, &mut violations),

@@ -78,7 +78,7 @@ pub mod validator;
 pub mod whatif;
 
 pub use clock::{Clock, RealClock, VirtualClock};
-pub use contracts::{generate_contracts, Contract, ContractKind, DeviceContracts};
+pub use contracts::{generate_contracts, Contract, ContractKind, ContractRef, DeviceContracts};
 pub use engine::{
     smt::SmtEngine, trie::TrieEngine, trie_reference::ReferenceTrieEngine, Engine, ObservedEngine,
 };

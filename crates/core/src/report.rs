@@ -5,7 +5,7 @@
 //! impact" (§2.6.4). Reports are what the stream-analytics queries and
 //! the remediation queues consume.
 
-use crate::contracts::{Contract, ContractKind};
+use crate::contracts::{ContractKind, ContractRef};
 use dctopo::{DeviceId, MetadataService, Role};
 use netprim::{Ipv4, Prefix};
 use std::fmt;
@@ -101,7 +101,7 @@ pub struct Violation {
 
 impl Violation {
     /// Build from a contract plus reason.
-    pub fn of(contract: &Contract, reason: ViolationReason) -> Violation {
+    pub fn of(contract: ContractRef<'_>, reason: ViolationReason) -> Violation {
         Violation {
             device: contract.device,
             prefix: contract.prefix,

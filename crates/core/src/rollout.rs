@@ -51,7 +51,7 @@
 //! `dcemu` crate's old free functions are deprecated shims over these.
 
 use crate::contracts::DeviceContracts;
-use crate::delta::{DeltaMap, VerdictMemo};
+use crate::delta::VerdictMemo;
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation};
 use crate::runner::run_pass;
@@ -121,14 +121,13 @@ impl ManagedNetwork {
     }
 
     /// Converge the control plane and validate every device; returns
-    /// all violations (the flattened datacenter report). Convenience
-    /// over a default [`crate::Validator`]; construct a
-    /// [`Prechecker`] to pick the engine and thread count.
+    /// all violations (the flattened datacenter report). Validates the
+    /// borrowed contracts with the default engine and thread count;
+    /// construct a [`Prechecker`] to pick them.
     pub fn validate(&self, contracts: &[DeviceContracts]) -> Vec<Violation> {
         let fibs = simulate(&self.topology, &self.config);
-        let report = crate::Validator::with_contracts(contracts.to_vec())
-            .build()
-            .run(&fibs);
+        let engine = crate::runner::EngineChoice::default().instantiate();
+        let report = run_pass(engine.as_ref(), 0, &fibs, contracts, 1, None, None);
         report
             .reports
             .into_iter()
@@ -581,8 +580,6 @@ pub struct RolloutPlanner {
     threads: usize,
     meta: Option<MetadataService>,
     metrics: Option<RolloutMetrics>,
-    /// Shared delta-revalidation core ([`crate::delta`]), built once.
-    delta: DeltaMap,
     /// Cross-call memo for [`Self::state_reports`], keyed by the
     /// canonical change *set*. Changes commute (classify rejects
     /// duplicate targets), so a subset's fixed point — and therefore
@@ -647,7 +644,6 @@ impl RolloutPlanner {
             None,
             None,
         );
-        let delta = DeltaMap::build(&contracts);
         RolloutPlanner {
             production,
             baseline,
@@ -658,7 +654,6 @@ impl RolloutPlanner {
             threads,
             meta,
             metrics: registry.map(RolloutMetrics::new),
-            delta,
             state_memo: RwLock::new(HashMap::new()),
         }
     }
@@ -794,17 +789,14 @@ impl RolloutPlanner {
         if !links.is_empty() {
             let base = anchor.as_ref().unwrap_or(&self.baseline);
             let out = base.resimulate(&FaultSpec::links(links));
-            let mut aff_cache = self.delta.new_cache();
             for ((d, fib), touched) in out.changed.iter().zip(&out.touched) {
                 let du = d.0 as usize;
-                reports[du] = self.delta.revalidate(
+                reports[du] = crate::delta::revalidate(
                     self.engine.as_ref(),
-                    &self.contracts,
+                    &self.contracts[du],
                     &reports[du],
-                    du,
                     fib,
                     touched,
-                    &mut aff_cache,
                 );
             }
         }
@@ -1048,7 +1040,6 @@ impl Ctx<'_> {
             .anchor_baseline(anchor)
             .resimulate(&FaultSpec::links(links.iter().copied()));
         let mut transient = anchor.transient;
-        let mut aff_cache = self.p.delta.new_cache();
         let mut revalidated = 0usize;
         let mut reused = 0usize;
         let mut changed = Vec::new();
@@ -1063,14 +1054,12 @@ impl Ctx<'_> {
                 }
                 None => {
                     revalidated += 1;
-                    let r = self.p.delta.revalidate(
+                    let r = crate::delta::revalidate(
                         self.p.engine.as_ref(),
-                        &self.p.contracts,
+                        &self.p.contracts[du],
                         &reports[du],
-                        du,
                         fib,
                         touched,
-                        &mut aff_cache,
                     );
                     self.memo.write().insert((d.0, h), r.clone());
                     r

@@ -33,7 +33,7 @@
 //! contracts pass again.
 
 use crate::contracts::DeviceContracts;
-use crate::delta::{DeltaMap, VerdictMemo};
+use crate::delta::VerdictMemo;
 use crate::engine::Engine;
 use crate::report::{Risk, ValidationReport, Violation};
 use crate::runner::run_pass;
@@ -327,10 +327,6 @@ pub struct WhatIfSweeper {
     meta: Option<MetadataService>,
     metrics: Option<WhatIfMetrics>,
     healthy_reports: Vec<ValidationReport>,
-    /// Shared delta-revalidation core: deduplicated per-device
-    /// contract locators ([`crate::delta`]), built once so each
-    /// scenario's delta devices skip the O(contracts) scan.
-    delta: DeltaMap,
 }
 
 impl WhatIfSweeper {
@@ -351,7 +347,6 @@ impl WhatIfSweeper {
             None,
             None,
         );
-        let delta = DeltaMap::build(&contracts);
         WhatIfSweeper {
             baseline,
             contracts,
@@ -360,7 +355,6 @@ impl WhatIfSweeper {
             meta,
             metrics: registry.map(WhatIfMetrics::new),
             healthy_reports: healthy.reports,
-            delta,
         }
     }
 
@@ -389,21 +383,13 @@ impl WhatIfSweeper {
 
     /// Delta-validate one changed device against its healthy prior
     /// (the shared [`crate::delta`] clean-prior fast path).
-    fn revalidate(
-        &self,
-        du: usize,
-        fib: &Fib,
-        touched: &[Prefix],
-        aff_cache: &mut crate::delta::AffectedCache,
-    ) -> ValidationReport {
-        self.delta.revalidate(
+    fn revalidate(&self, du: usize, fib: &Fib, touched: &[Prefix]) -> ValidationReport {
+        crate::delta::revalidate(
             self.engine.as_ref(),
-            &self.contracts,
+            &self.contracts[du],
             &self.healthy_reports[du],
-            du,
             fib,
             touched,
-            aff_cache,
         )
     }
 
@@ -441,9 +427,6 @@ impl WhatIfSweeper {
             .map(|r| self.matching_count(r, condition))
             .sum();
         let mut changed = Vec::with_capacity(out.changed.len());
-        // Scenario-local memo: devices sharing a contract layout and a
-        // touched list share their affected-contract indices.
-        let mut aff_cache = self.delta.new_cache();
         let mut revalidated = 0usize;
         let mut reused = 0usize;
         for ((d, fib), touched) in out.changed.into_iter().zip(out.touched) {
@@ -462,7 +445,7 @@ impl WhatIfSweeper {
                 }
                 None => {
                     revalidated += 1;
-                    let r = self.revalidate(du, &fib, &touched, &mut aff_cache);
+                    let r = self.revalidate(du, &fib, &touched);
                     if let (Some(m), Some(h)) = (memo, hash) {
                         m.write().insert((d.0, h), r.clone());
                     }

@@ -94,8 +94,8 @@ fn contracts_strategy() -> impl Strategy<Value = Vec<(u32, u8, Vec<Ipv4>, bool)>
 }
 
 fn build_contracts(specs: &[(u32, u8, Vec<Ipv4>, bool)]) -> DeviceContracts {
-    DeviceContracts {
-        contracts: specs
+    DeviceContracts::from_contracts(
+        specs
             .iter()
             .map(|(offset, len, hops, default_kind)| {
                 let (p, kind) = if *len == 0 {
@@ -118,7 +118,7 @@ fn build_contracts(specs: &[(u32, u8, Vec<Ipv4>, bool)]) -> DeviceContracts {
                 }
             })
             .collect(),
-    }
+    )
 }
 
 fn violated_keys(r: &ValidationReport) -> Vec<(Prefix, ContractKind)> {
@@ -197,15 +197,13 @@ proptest! {
     ) {
         let fib = build_fib(&rules);
         let hops: Vec<Ipv4> = raw_expect.into_iter().map(|i| Ipv4(0x1e00_0000 + i)).collect();
-        let dc = DeviceContracts {
-            contracts: vec![Contract {
-                device: DeviceId(0),
-                prefix: prefix(offset, len),
-                kind: ContractKind::Specific,
-                // As-generated: possibly unsorted, possibly duplicated.
-                expectation: Expectation::NextHops(hops.into()),
-            }],
-        };
+        let dc = DeviceContracts::from_contracts(vec![Contract {
+            device: DeviceId(0),
+            prefix: prefix(offset, len),
+            kind: ContractKind::Specific,
+            // As-generated: possibly unsorted, possibly duplicated.
+            expectation: Expectation::NextHops(hops.into()),
+        }]);
         for (flat, reference) in [
             (TrieEngine::new(), ReferenceTrieEngine::new()),
             (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
@@ -234,15 +232,13 @@ fn hop_universe_overflow_falls_back_to_vector_compare() {
         kind: ContractKind::Specific,
         expectation: Expectation::NextHops(hops.to_vec().into()),
     };
-    let dc = DeviceContracts {
-        // The wide set first (overflows the codex), then contracts that
-        // must still be judged correctly by the fallback.
-        contracts: vec![
-            spec(0, &wide),
-            spec(256, &good),
-            spec(256, &wide), // mismatch
-        ],
-    };
+    // The wide set first (overflows the codex), then contracts that
+    // must still be judged correctly by the fallback.
+    let dc = DeviceContracts::from_contracts(vec![
+        spec(0, &wide),
+        spec(256, &good),
+        spec(256, &wide), // mismatch
+    ]);
     for (flat, reference) in [
         (TrieEngine::new(), ReferenceTrieEngine::new()),
         (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),

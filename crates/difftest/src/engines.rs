@@ -27,10 +27,10 @@ use bgpsim::{simulate, Fib, SimConfig};
 use dctopo::generator::figure3;
 use dctopo::{DeviceId, LinkState, MetadataService};
 use netprim::Prefix;
-use rcdc::contracts::Expectation;
+use rcdc::contracts::{ContractRef, Expectation};
 use rcdc::global_baseline::{forwarding_analysis, PathInfo};
 use rcdc::{
-    generate_contracts, Contract, ContractKind, Engine, ReferenceTrieEngine, SmtEngine, TrieEngine,
+    generate_contracts, ContractKind, Engine, ReferenceTrieEngine, SmtEngine, TrieEngine,
 };
 
 /// Violated-contract keys of a report: sorted, deduplicated
@@ -45,13 +45,13 @@ fn violated_keys(r: &rcdc::ValidationReport) -> Vec<(Prefix, ContractKind)> {
 /// Per-address reference verdict for one contract (Definition 2.1 by
 /// exhaustive evaluation). Returns true when the contract is violated
 /// under `strict` rules.
-fn reference_violated(fib: &Fib, c: &Contract, strict: bool) -> bool {
+fn reference_violated(fib: &Fib, c: ContractRef<'_>, strict: bool) -> bool {
     match c.kind {
         ContractKind::Default => {
             // Mirrors the shared structural default check: the engines
             // and the reference all read only the 0.0.0.0/0 entry.
             let entry = fib.default_entry();
-            match (&c.expectation, entry) {
+            match (c.expectation, entry) {
                 (Expectation::NextHops(expected), Some(e)) => {
                     e.local || fib.next_hops(e) != &expected[..]
                 }
@@ -61,7 +61,7 @@ fn reference_violated(fib: &Fib, c: &Contract, strict: bool) -> bool {
             }
         }
         ContractKind::Specific => {
-            let expected = match &c.expectation {
+            let expected = match c.expectation {
                 Expectation::NextHops(h) => h,
                 Expectation::Local => {
                     return match fib.entry_for(c.prefix) {
@@ -134,7 +134,7 @@ fn check_single_device(fib_specs: &[FibSpec], contract_specs: &[ContractSpec]) -
     }
 
     // Exhaustive reference, per contract.
-    for c in &contracts.contracts {
+    for c in contracts.iter() {
         let key = (c.prefix, c.kind);
         for (strict, keys, label) in [
             (true, &kt_strict, "strict"),
@@ -259,6 +259,7 @@ pub(crate) fn run(seed: u64) -> Result<(), Failure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcdc::Contract;
     use netprim::Ipv4;
 
     #[test]
@@ -270,7 +271,7 @@ mod tests {
             kind: ContractKind::Default,
             expectation: Expectation::NextHops(vec![Ipv4(0x1e00_0001)].into()),
         };
-        assert!(reference_violated(&fib, &c, false));
+        assert!(reference_violated(&fib, c.view(), false));
     }
 
     #[test]
