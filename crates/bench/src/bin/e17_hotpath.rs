@@ -1,6 +1,7 @@
-//! E17 — the hot-path raw-speed pass: flat trie + batched contract
-//! traversal + bitset hop sets vs the pre-rewrite pipeline
-//! (pointer-chasing trie, per-contract walks, vector hop sets).
+//! E17 — the hot-path raw-speed pass: the trie engine's merge walk
+//! (stretch judging over the shared contract table), bitset hop sets
+//! and RLE table emission vs the pre-rewrite pipeline (pointer-chasing
+//! trie, per-contract walks, vector hop sets).
 //!
 //! Runs the full cold sweep — EBGP convergence then every device's
 //! contract check — twice per shape: once with the frozen pre-rewrite
@@ -86,7 +87,7 @@ fn run_point(label: &str, params: &ClosParams, assert_floor: bool) {
     // Verdict identity, rule for rule, on every device.
     assert_eq!(reports.len(), reports_legacy.len());
     for (i, (new, old)) in reports.iter().zip(&reports_legacy).enumerate() {
-        assert_eq!(new, old, "device {i}: flat trie verdicts diverged");
+        assert_eq!(new, old, "device {i}: trie engine verdicts diverged");
     }
     assert!(
         reports.iter().all(|r| r.is_clean()),

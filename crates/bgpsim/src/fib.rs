@@ -384,21 +384,36 @@ impl Fib {
     /// iff they forward identically. This is the identity the
     /// incremental pipeline keys on: an unchanged snapshot costs one
     /// hash comparison instead of a validation pass.
+    ///
+    /// Each pool set is digested once from its addresses, and an entry
+    /// mixes two words: its prefix and locality, and its set's digest.
+    /// The digest depends on the set's content only, never on its pool
+    /// id, so the pool's interning order does not reach the hash; and
+    /// the cost is two words per entry instead of one per next hop.
     pub fn content_hash(&self) -> u64 {
         // FNV-1a over 64-bit words; stability across runs is what
         // matters (hashes travel inside [`FibDelta`]s), not diffusion.
+        const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| h = (h ^ word).wrapping_mul(PRIME);
-        mix(u64::from(self.device.0));
-        mix(self.entries.len() as u64);
+        let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
+        let digests: Vec<u64> = self
+            .sets
+            .iter()
+            .map(|hops| {
+                hops.iter().fold(mix(BASIS, hops.len() as u64), |h, nh| {
+                    mix(h, u64::from(nh.0))
+                })
+            })
+            .collect();
+        let mut h = mix(
+            mix(BASIS, u64::from(self.device.0)),
+            self.entries.len() as u64,
+        );
         for e in &self.entries {
-            mix((u64::from(e.prefix.addr().0) << 8) | u64::from(e.prefix.len()));
-            let hops = &self.sets[e.set as usize];
-            mix((u64::from(e.local) << 32) | hops.len() as u64);
-            for nh in hops {
-                mix(u64::from(nh.0));
-            }
+            let word = (u64::from(e.local) << 40)
+                | (u64::from(e.prefix.addr().0) << 8)
+                | u64::from(e.prefix.len());
+            h = mix(mix(h, word), digests[e.set as usize]);
         }
         h
     }
@@ -714,6 +729,82 @@ mod tests {
         }
         assert_ne!(b.finish().content_hash(), f.content_hash());
         assert_ne!(Fib::empty(DeviceId(9)).content_hash(), f.content_hash());
+    }
+
+    #[test]
+    fn content_hash_ignores_pool_order() {
+        // Same content, sets interned in opposite orders.
+        let x = hops(&[[30, 0, 0, 1], [30, 0, 0, 3]]);
+        let y = hops(&[[30, 0, 0, 5]]);
+        let mut a = FibBuilder::new(DeviceId(9));
+        a.push(p("10.0.0.0/24"), x.clone(), false);
+        a.push(p("10.0.1.0/24"), y.clone(), false);
+        let mut b = FibBuilder::new(DeviceId(9));
+        b.push(p("10.0.1.0/24"), y, false);
+        b.push(p("10.0.0.0/24"), x, false);
+        let (a, b) = (a.finish(), b.finish());
+        let set = |f: &Fib| f.entry_for(p("10.0.0.0/24")).unwrap().set;
+        assert_ne!(set(&a), set(&b), "the pools must differ in order");
+        assert_eq!(a.content_hash(), b.content_hash());
+    }
+
+    #[test]
+    fn content_hash_sees_one_address_of_a_shared_set() {
+        // Many entries share one set; changing one of its addresses
+        // changes every entry's next hops and must change the hash.
+        let table = |last: u8| {
+            let mut b = FibBuilder::new(DeviceId(3));
+            for i in 0..64u8 {
+                b.push(
+                    p(&format!("10.0.{i}.0/24")),
+                    hops(&[[30, 0, 0, 1], [30, 0, 0, last]]),
+                    false,
+                );
+            }
+            b.push(p("0.0.0.0/0"), hops(&[[30, 0, 0, 1]]), false);
+            b.finish()
+        };
+        let (a, b) = (table(3), table(4));
+        assert_eq!(a.set_pool_len(), 2);
+        assert_ne!(a.content_hash(), b.content_hash());
+    }
+
+    #[test]
+    fn content_hash_agrees_across_simulate_wire_and_delta() {
+        use crate::{simulate, SimConfig};
+        use dctopo::{build_clos, ClosParams, LinkState, Role};
+        let params = ClosParams {
+            clusters: 2,
+            tors_per_cluster: 3,
+            leaves_per_cluster: 2,
+            spines: 2,
+            regional_spines: 2,
+            regional_groups: 1,
+            prefixes_per_tor: 2,
+        };
+        let mut topology = build_clos(&params);
+        let healthy = simulate(&topology, &SimConfig::healthy());
+        let tor = topology.devices_with_role(Role::Tor).next().unwrap().id;
+        let uplink = topology.links().iter().find(|l| l.lo == tor || l.hi == tor).unwrap().id;
+        topology.set_link_state(uplink, LinkState::OperDown);
+        let config = SimConfig::healthy().with_max_ecmp(tor, 1);
+        let faulted = simulate(&topology, &config);
+        let mut changed = 0;
+        for (old, new) in healthy.iter().zip(&faulted) {
+            let wired = Fib::from_wire(&new.to_wire()).unwrap();
+            assert_eq!(wired.content_hash(), new.content_hash());
+            let delta = Fib::delta(old, new);
+            changed += usize::from(!delta.is_empty());
+            let applied = old.apply_delta(&delta).unwrap();
+            assert_eq!(applied.content_hash(), new.content_hash());
+            assert_eq!(
+                old.content_hash() == new.content_hash(),
+                delta.is_empty(),
+                "device {:?}",
+                new.device()
+            );
+        }
+        assert!(changed > 0);
     }
 
     fn modified_sample() -> Fib {

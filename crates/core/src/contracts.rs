@@ -138,6 +138,11 @@ pub(crate) struct PrefixTable {
     /// Specific slots in DFS preorder as `(dfs_key, slot)`; equal
     /// prefixes stay in slot order.
     dfs: Vec<(u64, u32)>,
+    /// `dfs` indices where the slot sequence jumps (`dfs[i].1 !=
+    /// dfs[i - 1].1 + 1`), ascending. Between two breaks DFS order is
+    /// slot order, so a stretch is cut by slot arithmetic. A fabric
+    /// table lists its facts in address order and has none.
+    breaks: Vec<u32>,
     /// Default-kind slots, ascending (only hand-built lists have any).
     defaults: Vec<u32>,
     /// Distinct specific prefix lengths, descending.
@@ -162,9 +167,14 @@ impl PrefixTable {
         }
         dfs.sort_unstable();
         lengths.sort_unstable_by(|a, b| b.cmp(a));
+        let breaks = (1..dfs.len())
+            .filter(|&i| dfs[i].1 != dfs[i - 1].1 + 1)
+            .map(|i| i as u32)
+            .collect();
         PrefixTable {
             slots,
             dfs,
+            breaks,
             defaults,
             lengths,
         }
@@ -213,6 +223,7 @@ impl PrefixTable {
         std::mem::size_of::<Self>()
             + self.slots.capacity() * std::mem::size_of::<(Prefix, ContractKind)>()
             + self.dfs.capacity() * std::mem::size_of::<(u64, u32)>()
+            + self.breaks.capacity() * 4
             + self.defaults.capacity() * 4
             + self.lengths.capacity()
     }
@@ -419,15 +430,10 @@ impl DeviceContracts {
         )
     }
 
-    /// Specific contracts with their sort keys, in the table's
+    /// Specific contracts as maximal [`Stretch`]es, in the table's
     /// precomputed DFS preorder (equal prefixes in list order).
-    pub(crate) fn specifics_dfs(&self) -> impl Iterator<Item = (u32, ContractRef<'_>)> + '_ {
-        let mut runs = RunCursor::new(&self.runs);
-        self.table
-            .dfs
-            .iter()
-            .filter(|&&(_, s)| !self.is_excluded(s))
-            .map(move |&(_, s)| self.slot(s, &mut runs))
+    pub(crate) fn stretches(&self) -> impl Iterator<Item = Stretch<'_>> + '_ {
+        self.stretches_in(std::iter::once(0..self.table.dfs.len()))
     }
 
     /// The contracts a FIB delta over `touched` can change the verdict
@@ -439,17 +445,117 @@ impl DeviceContracts {
         touched: &[Prefix],
     ) -> impl Iterator<Item = (u32, ContractRef<'a>)> + 'a {
         let defaults = touched.iter().any(|p| p.is_default());
-        let overlap = self.table.overlapping(touched);
-        let mut runs = RunCursor::new(&self.runs);
-        let specifics = overlap.into_iter().filter_map(move |i| {
-            let s = self.table.dfs[i as usize].1;
-            (!self.is_excluded(s)).then(|| self.slot(s, &mut runs))
-        });
         defaults
             .then(|| self.defaults())
             .into_iter()
             .flatten()
-            .chain(specifics)
+            .chain(
+                self.affected_stretches(touched)
+                    .flat_map(|st| st.contracts()),
+            )
+    }
+
+    /// The specifics of [`affected`](Self::affected), as stretches.
+    pub(crate) fn affected_stretches<'a>(
+        &'a self,
+        touched: &[Prefix],
+    ) -> impl Iterator<Item = Stretch<'a>> + 'a {
+        // Consecutive overlapping indices coalesce into ranges, so a
+        // wide touched prefix still yields long stretches.
+        let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
+        for i in self.table.overlapping(touched) {
+            let i = i as usize;
+            match ranges.last_mut() {
+                Some(r) if r.end == i => r.end += 1,
+                _ => ranges.push(i..i + 1),
+            }
+        }
+        self.stretches_in(ranges)
+    }
+
+    /// Cut each range of `dfs` indices into maximal stretches.
+    fn stretches_in<'a>(
+        &'a self,
+        ranges: impl IntoIterator<Item = std::ops::Range<usize>> + 'a,
+    ) -> impl Iterator<Item = Stretch<'a>> + 'a {
+        ranges.into_iter().flat_map(move |r| {
+            let mut at = r.start;
+            std::iter::from_fn(move || self.cut(&mut at, r.end))
+        })
+    }
+
+    /// The maximal stretch starting at the first non-excluded `dfs`
+    /// index in `*at..end`; advances `*at` past it.
+    fn cut(&self, at: &mut usize, end: usize) -> Option<Stretch<'_>> {
+        let t = &*self.table;
+        while *at < end {
+            let slot = t.dfs[*at].1;
+            let x = self.excluded.partition_point(|&e| e < slot);
+            if self.excluded.get(x) == Some(&slot) {
+                *at += 1;
+                continue;
+            }
+            // Up to the next slot-order break, the next excluded slot
+            // and the next expectation run, whichever comes first.
+            let b = t.breaks.partition_point(|&b| b as usize <= *at);
+            let seg_end = t
+                .breaks
+                .get(b)
+                .map_or(t.dfs.len(), |&b| b as usize)
+                .min(end);
+            let run = self.runs.partition_point(|r| r.0 <= slot) - 1;
+            let next_excluded = self.excluded.get(x).map_or(u32::MAX, |&e| e);
+            let next_run = self.runs.get(run + 1).map_or(u32::MAX, |r| r.0);
+            let n = (seg_end - *at).min((next_excluded.min(next_run) - slot) as usize);
+            let stretch = Stretch {
+                device: self.device,
+                table: t,
+                dfs: &t.dfs[*at..*at + n],
+                expectation: &self.runs[run].1,
+            };
+            *at += n;
+            return Some(stretch);
+        }
+        None
+    }
+}
+
+/// Specific contracts adjacent in DFS preorder that lie in one
+/// expectation run with no excluded slot between them: they share an
+/// expectation and, when the FIB forwards them all through one rule
+/// set, a verdict.
+#[derive(Clone, Copy)]
+pub(crate) struct Stretch<'a> {
+    device: DeviceId,
+    table: &'a PrefixTable,
+    /// `(dfs_key, slot)` per contract, in DFS preorder.
+    pub(crate) dfs: &'a [(u64, u32)],
+    /// The expectation every contract of the stretch carries.
+    pub(crate) expectation: &'a Expectation,
+}
+
+impl<'a> Stretch<'a> {
+    /// Number of contracts.
+    pub(crate) fn len(&self) -> usize {
+        self.dfs.len()
+    }
+
+    /// The `i`-th contract and its sort key.
+    pub(crate) fn contract(&self, i: usize) -> (u32, ContractRef<'a>) {
+        let slot = self.dfs[i].1;
+        let (prefix, kind) = self.table.slots[slot as usize];
+        let c = ContractRef {
+            device: self.device,
+            prefix,
+            kind,
+            expectation: self.expectation,
+        };
+        (slot + 1, c)
+    }
+
+    /// Every contract with its sort key, in DFS preorder.
+    pub(crate) fn contracts(self) -> impl Iterator<Item = (u32, ContractRef<'a>)> {
+        (0..self.len()).map(move |i| self.contract(i))
     }
 }
 
@@ -789,6 +895,67 @@ mod tests {
                 _ => assert_eq!(n, 1 + total_prefixes),
             }
         }
+    }
+
+    /// Stretches concatenate to the specifics in DFS preorder (equal
+    /// prefixes in list order), each contract with its list-order key
+    /// and expectation.
+    fn assert_stretches_cover(dc: &DeviceContracts) {
+        let mut want: Vec<(u32, ContractRef<'_>)> = dc
+            .keyed()
+            .filter(|(_, c)| c.kind == ContractKind::Specific)
+            .collect();
+        want.sort_by_key(|&(k, c)| (dfs_key(c.prefix), k));
+        let got: Vec<(u32, ContractRef<'_>)> =
+            dc.stretches().flat_map(|st| st.contracts()).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn stretches_cover_specifics_in_dfs_order() {
+        use dctopo::{build_clos, ClosParams};
+        let t = build_clos(&ClosParams {
+            prefixes_per_tor: 3,
+            ..ClosParams::default()
+        });
+        let meta = MetadataService::from_topology(&t);
+        let contracts = generate_contracts(&meta);
+        for dc in &contracts {
+            assert_stretches_cover(dc);
+        }
+        // A fabric table has no slot-order breaks: a ToR's specifics
+        // are cut only around its own three prefixes.
+        let tor = meta
+            .devices()
+            .iter()
+            .find(|d| d.role == Role::Tor)
+            .unwrap()
+            .id;
+        let dc = &contracts[tor.0 as usize];
+        assert!(dc.table.breaks.is_empty());
+        assert!(dc.stretches().count() <= 4);
+
+        // A hand-built list: unsorted, nested, duplicated, with a run
+        // change and a default contract between specifics.
+        let p = |s: &str| s.parse::<Prefix>().unwrap();
+        let mk = |prefix: Prefix, kind, hop: u32| Contract {
+            device: DeviceId(1),
+            prefix,
+            kind,
+            expectation: Expectation::NextHops(vec![Ipv4(hop)].into()),
+        };
+        let dc = DeviceContracts::from_contracts(vec![
+            mk(p("10.0.2.0/24"), ContractKind::Specific, 1),
+            mk(p("10.0.0.0/24"), ContractKind::Specific, 1),
+            mk(p("10.0.1.0/24"), ContractKind::Specific, 1),
+            mk(Prefix::DEFAULT, ContractKind::Default, 1),
+            mk(p("10.0.0.0/16"), ContractKind::Specific, 2),
+            mk(p("10.0.1.0/24"), ContractKind::Specific, 2),
+            mk(p("10.0.3.0/24"), ContractKind::Specific, 2),
+            mk(p("10.0.4.0/24"), ContractKind::Specific, 3),
+        ]);
+        assert!(!dc.table.breaks.is_empty());
+        assert_stretches_cover(&dc);
     }
 
     #[test]

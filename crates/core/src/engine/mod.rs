@@ -9,9 +9,9 @@
 //!   performance within a second").
 //! * [`trie::TrieEngine`] — the specialized trie algorithm of §2.5.2
 //!   ("for the most common workload… much faster"), used by the
-//!   production monitoring pipeline. Since the flat-layout rewrite it
-//!   packs the trie into one arena and judges all contracts in a
-//!   single batched sweep.
+//!   production monitoring pipeline. It judges a device's contracts in
+//!   one merge walk over the FIB and the shared contract table, one
+//!   hop-set comparison per stretch of contracts that share a rule run.
 //! * [`trie_reference::ReferenceTrieEngine`] — the pre-rewrite
 //!   pointer trie, frozen as an ablation baseline and equivalence
 //!   oracle.

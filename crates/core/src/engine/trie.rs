@@ -1,36 +1,44 @@
 //! The specialized trie-based verification algorithm (§2.5.2),
-//! rebuilt for raw speed: a flat array-packed trie plus one batched
-//! traversal for the whole contract set.
+//! rebuilt for raw speed: one merge walk over the FIB and the contract
+//! table judges contracts stretch against rule run.
 //!
-//! **Flat layout.** FIB entries sorted by `(address, length)` are
+//! **The FIB side.** FIB entries sorted by `(address, length)` are
 //! exactly a DFS preorder of the rule containment forest: two prefixes
-//! are either nested or disjoint, so every rule's descendants form a
-//! contiguous run right after it. The trie is therefore one `Vec` of
-//! nodes in that order — each carrying its prefix, FIB entry index,
-//! parent link and exclusive subtree end as `u32` indices into the
-//! arena — built in O(n) with a stack, no per-bit pointer chasing.
+//! are either nested or disjoint, so every rule's descendants follow
+//! it contiguously. The FIB stores entries by (descending length,
+//! ascending address), so each length run is already ascending in that
+//! order, and preorder is their k-way merge (two runs in a fabric
+//! table: the /24s and the default). [`FibWalk`] merges them lazily:
+//! one forward-only cursor per length run, each parked at the first
+//! rule not preceding the current contract. No node arena is built.
+//! A contract's candidates `{r | C ⊆ r ∨ r ⊆ C}` fall out of the
+//! cursors: per longer-or-equal run, the rules from the cursor up to
+//! the contract's end (its descendants); per shorter run, the rule just
+//! before the cursor if it contains the contract (its unique ancestor
+//! of that length). The root rule (`0.0.0.0/0`) is the shorter run's
+//! last consumed rule for every contract after it, so default-route
+//! semantics hold by construction.
 //!
-//! **Batched traversal.** Instead of one candidate walk per contract,
-//! the specific contracts are walked in the same `(address, length)`
-//! order — precomputed once per fabric by the contract store's shared
-//! prefix table — and judged in a single left-to-right sweep (the
-//! intent-based slicing idea: contracts sharing a prefix subtree share
-//! the walk).
-//! The sweep keeps a stack of open ancestors — rules containing the
-//! current contract — and a cursor into the node array; advancing to
-//! the next contract pushes the rules that contain it and skips
-//! disjoint subtrees in O(1) via `subtree_end`. A contract's
-//! candidates are then its ancestor stack plus the contiguous
-//! descendant run at the cursor. Soundness: the candidate set
-//! `{r | C ⊆ r ∨ r ⊆ C}` is identical to the per-contract walk's, and
-//! judging order (descending prefix length) is preserved, so verdicts
-//! are rule-for-rule identical — the `flat_trie_equivalence` suite and
-//! the difftest `engines`/`incremental` oracles gate this against
+//! **The contract side.** The contract store's shared prefix table
+//! keeps its specifics in the same preorder, precomputed once per
+//! fabric, and cuts them into [`Stretch`]es: contracts adjacent in that
+//! order that share one expectation run and hold no excluded slot. A
+//! stretch whose contracts each hit an exact rule with no nested rule
+//! — consecutive rules of one length run, none local, all on one
+//! interned next-hop set — is judged by one hop-set comparison (the
+//! intent-based slicing idea: contracts sharing structure share the
+//! work). At the 10⁴-router shape that is ~10⁵ comparisons for ~10⁸
+//! contracts; the per-contract cost is a key and set-id compare in one
+//! tight loop. Every other contract — a missing exact rule, nested or
+//! shadowing rules, a local rule, a `Local` expectation, a duplicate
+//! prefix — goes through [`judge_one`](TrieEngine::judge_one) with its
+//! candidates from the same walk. Judging order (descending prefix
+//! length per contract) and the cross-contract `MissingRoute` dedup are
+//! the per-contract walk's, so verdicts are rule-for-rule identical —
+//! the `flat_trie_equivalence` suite and the difftest
+//! `engines`/`incremental` oracles gate this against
 //! [`ReferenceTrieEngine`](crate::engine::trie_reference) and the SMT
-//! engine. The root rule (`0.0.0.0/0`), when present, is the first
-//! node and contains every contract, so it enters the ancestor stack
-//! at the first contract and never leaves: default-route semantics
-//! survive group boundaries by construction.
+//! engine.
 //!
 //! **Bitset next-hop matching.** Next-hop set comparisons go through a
 //! per-device [`HopSet`] codex: each distinct address gets a bit, FIB
@@ -40,12 +48,10 @@
 //! (or non-canonical expectation vectors) fall back to the exact
 //! vector compare, so verdicts never change.
 //!
-//! For the common workload (exact prefix hit) a contract costs one
-//! cursor advance, one mask compare and no allocation, which is why
-//! this engine is orders of magnitude faster than the SMT path
-//! (benchmarks E1, E17).
+//! This is why the engine is orders of magnitude faster than the SMT
+//! path (benchmarks E1, E17).
 
-use crate::contracts::{dfs_key, ContractKind, ContractRef, DeviceContracts, Expectation};
+use crate::contracts::{dfs_key, ContractKind, ContractRef, DeviceContracts, Expectation, Stretch};
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
 use bgpsim::{Fib, FibEntry};
@@ -53,139 +59,116 @@ use netprim::wire::FibDelta;
 use netprim::{HopSet, IpRange, Ipv4, Prefix};
 use std::collections::HashMap;
 
-/// Sentinel for "no node" in the flat arena.
-const NONE: u32 = u32::MAX;
-
-/// One rule in the flat trie arena.
-struct FlatNode {
-    prefix: Prefix,
-    /// Index into the FIB entry array.
-    entry: u32,
-    /// Arena index of the nearest enclosing rule (`NONE` at top level).
-    /// The sweep carries its own ancestor stack; the link is kept for
-    /// layout invariants (asserted in tests) and future traversals.
-    #[allow(dead_code)]
-    parent: u32,
-    /// Exclusive arena end of this rule's descendant run.
-    subtree_end: u32,
+/// One length run of a FIB's entries (one prefix length, ascending
+/// address) with its walk cursor.
+struct LenRun {
+    len: u8,
+    start: u32,
+    /// First rule of the run not preceding the current contract in
+    /// DFS preorder.
+    cur: u32,
+    end: u32,
 }
 
-/// Array-packed prefix trie: nodes in DFS preorder, `u32` links, one
-/// contiguous arena.
-pub(crate) struct FlatTrie {
-    nodes: Vec<FlatNode>,
+/// Length runs of a FIB in storage order: descending prefix length.
+fn length_runs(entries: &[FibEntry]) -> Vec<LenRun> {
+    let mut runs = Vec::new();
+    let mut start = 0usize;
+    while start < entries.len() {
+        let len = entries[start].prefix.len();
+        let end = start + entries[start..].partition_point(|e| e.prefix.len() == len);
+        runs.push(LenRun {
+            len,
+            start: start as u32,
+            cur: start as u32,
+            end: end as u32,
+        });
+        start = end;
+    }
+    runs
 }
 
-impl FlatTrie {
-    pub(crate) fn build(fib: &Fib) -> FlatTrie {
-        let entries = fib.entries();
-        let order = Self::preorder(fib);
-        let mut nodes: Vec<FlatNode> = Vec::with_capacity(order.len());
-        // Stack of open ancestors; a node not containing the incoming
-        // prefix can never contain a later one (preorder), so it is
-        // closed permanently and its subtree end is known.
-        let mut open: Vec<u32> = Vec::new();
-        for ei in order {
-            let p = entries[ei as usize].prefix;
-            let idx = nodes.len() as u32;
-            while let Some(&top) = open.last() {
-                if nodes[top as usize].prefix.contains_prefix(p) {
-                    break;
-                }
-                nodes[top as usize].subtree_end = idx;
-                open.pop();
-            }
-            nodes.push(FlatNode {
-                prefix: p,
-                entry: ei,
-                parent: open.last().copied().unwrap_or(NONE),
-                subtree_end: 0, // patched when closed
-            });
-            open.push(idx);
+/// A FIB's rules in DFS preorder, merged lazily from its length runs
+/// as the contracts advance (see the module doc). Contracts must be
+/// fed in DFS preorder; every cursor only moves forward.
+struct FibWalk<'f> {
+    entries: &'f [FibEntry],
+    runs: Vec<LenRun>,
+}
+
+impl<'f> FibWalk<'f> {
+    fn new(fib: &'f Fib) -> FibWalk<'f> {
+        FibWalk {
+            entries: fib.entries(),
+            runs: length_runs(fib.entries()),
         }
-        let end = nodes.len() as u32;
-        for i in open {
-            nodes[i as usize].subtree_end = end;
-        }
-        FlatTrie { nodes }
     }
 
-    /// Entry indices in DFS-preorder (`dfs_key`) order.
-    ///
-    /// The FIB is sorted by (descending length, ascending address), so
-    /// each length run is already ascending in `dfs_key`; preorder is
-    /// their k-way merge over at most 33 runs (2–3 in real tables).
-    /// That makes ordering O(n·k) pointer bumps instead of a full
-    /// comparison sort — `build` is the dominant per-device cost of a
-    /// cold validation sweep after the batched-sweep rewrite.
-    fn preorder(fib: &Fib) -> Vec<u32> {
-        let entries = fib.entries();
-        let n = entries.len();
-        // Length-run boundaries: (cursor, end) per run.
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut start = 0usize;
-        while start < n {
-            let len = entries[start].prefix.len();
-            let end = start
-                + entries[start..].partition_point(|e| e.prefix.len() == len);
-            runs.push((start as u32, end as u32));
-            start = end;
-        }
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        match runs.as_slice() {
-            [] => {}
-            [_] => order.extend(0..n as u32),
-            _ => {
-                while let Some(best) = runs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &(c, e))| c < e)
-                    .min_by_key(|(_, &(c, _))| {
-                        dfs_key(entries[c as usize].prefix)
-                    })
-                    .map(|(r, _)| r)
-                {
-                    let (c, e) = runs[best];
-                    // Take the whole stretch of this run that stays
-                    // below every other run's head key.
-                    let limit = runs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(r, &(c2, e2))| r != best && c2 < e2)
-                        .map(|(_, &(c2, _))| dfs_key(entries[c2 as usize].prefix))
-                        .min()
-                        .unwrap_or(u64::MAX);
-                    let mut c = c;
-                    while c < e && dfs_key(entries[c as usize].prefix) < limit {
-                        order.push(c);
-                        c += 1;
-                    }
-                    if c == runs[best].0 {
-                        // Head key == another head key is impossible
-                        // (prefixes are unique per FIB), so progress is
-                        // guaranteed; this arm is defensive.
-                        order.push(c);
-                        c += 1;
-                    }
-                    runs[best].0 = c;
-                }
+    /// Consume every rule preceding the contract with DFS key `key`.
+    /// A consumed rule that does not contain the contract is disjoint
+    /// from it and from every later contract.
+    fn advance(&mut self, key: u64) {
+        for r in &mut self.runs {
+            while r.cur < r.end && dfs_key(self.entries[r.cur as usize].prefix) < key {
+                r.cur += 1;
             }
         }
-        debug_assert_eq!(order.len(), n);
-        order
     }
 
-    /// Direct children of node `i`: hop the arena by `subtree_end`.
-    #[cfg(test)]
-    fn children(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
-        let end = self.nodes[i as usize].subtree_end;
-        std::iter::successors(
-            (i + 1 < end).then_some(i + 1),
-            move |&c| {
-                let next = self.nodes[c as usize].subtree_end;
-                (next < end).then_some(next)
-            },
-        )
+    /// After [`advance`](Self::advance) to `dfs[0]`: how many leading
+    /// contracts of `dfs` (all of one stretch) each hit an exact rule
+    /// with no rule nested inside it, on consecutive non-local rules of
+    /// one interned next-hop set. Returns the first rule's index and
+    /// the count, and leaves the run's cursor on the last rule hit (a
+    /// duplicate contract may still need it).
+    fn exact_stretch(&mut self, dfs: &[(u64, u32)]) -> Option<(usize, usize)> {
+        let key = dfs[0].0;
+        let len = (key & 63) as u8;
+        let r = self.runs.iter().position(|r| r.len == len)?;
+        let (first, end) = (self.runs[r].cur as usize, self.runs[r].end as usize);
+        let head = self.entries[first..end].first()?;
+        // A longer rule nests in a contract only if it starts before
+        // the contract ends; each longer run's next rule bounds the
+        // stretch (runs are stored longest first).
+        let bound = self.runs[..r]
+            .iter()
+            .filter(|l| l.cur < l.end)
+            .map(|l| u64::from(self.entries[l.cur as usize].prefix.addr().0))
+            .min()
+            .unwrap_or(u64::MAX);
+        let size = 1u64 << (32 - len);
+        let set = head.set;
+        let n = dfs
+            .iter()
+            .zip(&self.entries[first..end])
+            .take_while(|&(&(k, _), e)| {
+                k == dfs_key(e.prefix) && e.set == set && !e.local && (k >> 6) + size <= bound
+            })
+            .count();
+        if n == 0 {
+            return None;
+        }
+        self.runs[r].cur = (first + n - 1) as u32;
+        Some((first, n))
+    }
+
+    /// Candidate rules of contract `c` after [`advance`](Self::advance)
+    /// to it: `desc` gets the rules it contains, `anc` the rules
+    /// strictly containing it, leaf to root.
+    fn candidates(&self, c: Prefix, desc: &mut Vec<u32>, anc: &mut Vec<u32>) {
+        let c_end = u64::from(c.addr().0) + (1u64 << (32 - c.len()));
+        for r in &self.runs {
+            if r.len >= c.len() {
+                let mut i = r.cur;
+                while i < r.end && u64::from(self.entries[i as usize].prefix.addr().0) < c_end {
+                    desc.push(i);
+                    i += 1;
+                }
+            } else if r.cur > r.start && self.entries[r.cur as usize - 1].prefix.contains_prefix(c)
+            {
+                anc.push(r.cur - 1);
+            }
+        }
     }
 }
 
@@ -216,9 +199,9 @@ struct HopCodex {
 
 /// Multiply-fold hasher (the rustc `FxHash` recipe) for the codex's
 /// small integer keys — pool pointers and `Ipv4` addresses. These maps
-/// sit on the per-contract hot path (~10⁸ probes in a 10⁴-device
-/// sweep), where SipHash would be the single largest cost; keys here
-/// are attacker-free, so the collision-resistance trade is safe.
+/// sit on the judging hot path, where SipHash would be the single
+/// largest cost; keys here are attacker-free, so the
+/// collision-resistance trade is safe.
 #[derive(Default)]
 struct FoldHasher(u64);
 
@@ -394,7 +377,7 @@ impl Coverage {
     }
 }
 
-/// The trie-based engine (a flat trie is built per device).
+/// The trie-based engine (§2.5.2), judging by one merge walk per device.
 ///
 /// In **strict** mode (the production default) a specific contract also
 /// requires an exact specific route to exist: §2.6.2's migration case
@@ -458,101 +441,86 @@ impl TrieEngine {
         }
     }
 
-    /// Judge every specific contract in one sweep over the flat trie.
+    /// Judge every contract of `stretches` (in DFS preorder, as the
+    /// contract store cuts them) in one merge walk over the FIB.
     ///
-    /// `specs` is `(sort key, contract)` in DFS preorder, as the
-    /// contract store walks it; emitted violations are tagged with the
-    /// key so the caller can restore contract order. Same-prefix
-    /// contracts arrive in list order — which, with the sweep-local
+    /// Emitted violations are tagged with the contract's sort key so
+    /// the caller can restore contract order. Same-prefix contracts
+    /// arrive in list order — which, with the walk-local
     /// `prior_missing` flag, reproduces the reference engine's
-    /// cross-contract `MissingRoute` dedup exactly.
-    fn judge_specifics<'c>(
+    /// cross-contract `MissingRoute` dedup exactly. A stretch judged by
+    /// one hop-set comparison never emits `MissingRoute`, so it leaves
+    /// the flag clear.
+    fn judge_stretches<'c>(
         &self,
         fib: &Fib,
-        trie: &FlatTrie,
-        specs: impl Iterator<Item = (u32, ContractRef<'c>)>,
+        stretches: impl Iterator<Item = Stretch<'c>>,
         tagged: &mut Vec<(u32, Violation)>,
     ) {
+        let entries = fib.entries();
+        let mut walk = FibWalk::new(fib);
         let mut codex = HopCodex::new(fib);
-        let nodes = &trie.nodes;
-        let n = nodes.len();
-        // Sweep state: open ancestors of the current contract + the
-        // cursor at the first node not yet classified. Both only move
-        // forward — a popped ancestor or skipped subtree can never
-        // contain a later (preorder-greater) contract.
-        let mut stack: Vec<u32> = Vec::new();
-        let mut cursor = 0usize;
         // Scratch reused across contracts.
         let mut desc: Vec<u32> = Vec::new();
         let mut anc: Vec<u32> = Vec::new();
         let mut cviol: Vec<Violation> = Vec::new();
-        // Cross-contract MissingRoute dedup (same-prefix contracts are
-        // adjacent in sweep order).
         let mut prior_prefix: Option<Prefix> = None;
         let mut prior_missing = false;
 
-        for (idx, c) in specs {
-            if prior_prefix != Some(c.prefix) {
-                prior_prefix = Some(c.prefix);
-                prior_missing = false;
-            }
-            while let Some(&top) = stack.last() {
-                if nodes[top as usize].prefix.contains_prefix(c.prefix) {
-                    break;
+        for st in stretches {
+            let mut i = 0;
+            while i < st.len() {
+                walk.advance(st.dfs[i].0);
+                if let Expectation::NextHops(expected) = st.expectation {
+                    if let Some((first, n)) = walk.exact_stretch(&st.dfs[i..]) {
+                        let e = &entries[first];
+                        if !codex.hops_match(fib, e, expected) {
+                            for (tag, c) in (i..i + n).map(|k| st.contract(k)) {
+                                let v = ViolationReason::NextHopMismatch {
+                                    rule: c.prefix,
+                                    expected: expected.to_vec(),
+                                    actual: fib.next_hops(e).to_vec(),
+                                };
+                                tagged.push((tag, Violation::of(c, v)));
+                            }
+                        }
+                        prior_prefix = Some(st.contract(i + n - 1).1.prefix);
+                        prior_missing = false;
+                        i += n;
+                        continue;
+                    }
                 }
-                stack.pop();
-            }
-            let target = dfs_key(c.prefix);
-            while cursor < n {
-                let node = &nodes[cursor];
-                if dfs_key(node.prefix) >= target {
-                    break;
+                let (tag, c) = st.contract(i);
+                if prior_prefix != Some(c.prefix) {
+                    prior_prefix = Some(c.prefix);
+                    prior_missing = false;
                 }
-                if node.prefix.contains_prefix(c.prefix) {
-                    stack.push(cursor as u32);
-                    cursor += 1;
-                } else {
-                    // A preorder-smaller rule not containing the
-                    // contract is disjoint from it — and so is its
-                    // whole subtree.
-                    cursor = node.subtree_end as usize;
-                }
-            }
-            // Descendant candidates: the contiguous run of contained
-            // rules at the cursor. The cursor itself does not advance —
-            // a later (possibly nested) contract may anchor inside.
-            let mut i = cursor;
-            while i < n && c.prefix.contains_prefix(nodes[i].prefix) {
+                desc.clear();
+                anc.clear();
+                walk.candidates(c.prefix, &mut desc, &mut anc);
+                cviol.clear();
+                self.judge_one(fib, &mut desc, &anc, c, &mut codex, prior_missing, &mut cviol);
+                prior_missing |= cviol
+                    .iter()
+                    .any(|v| v.reason == ViolationReason::MissingRoute);
+                tagged.extend(cviol.drain(..).map(|v| (tag, v)));
                 i += 1;
             }
-            desc.clear();
-            desc.extend(nodes[cursor..i].iter().map(|nd| nd.entry));
-            // Ancestors leaf→root: strictly shorter rules containing
-            // the contract, in descending prefix length.
-            anc.clear();
-            anc.extend(stack.iter().rev().map(|&s| nodes[s as usize].entry));
-
-            cviol.clear();
-            self.judge_one(fib, &mut desc, &anc, c, &mut codex, prior_missing, &mut cviol);
-            prior_missing |= cviol
-                .iter()
-                .any(|v| v.reason == ViolationReason::MissingRoute);
-            tagged.extend(cviol.drain(..).map(|v| (idx, v)));
         }
     }
 
-    /// Judge specific contracts without a trie: candidates come from
-    /// binary searches over the `(descending length, ascending
-    /// address)` entry order — one address-range probe per length run
-    /// at or below the contract's length for descendants, one address
-    /// probe per shorter run for the unique possible ancestor. The
-    /// candidate set `{r | C ⊆ r ∨ r ⊆ C}` and its judging order are
-    /// exactly the sweep's, so verdicts stay byte-identical; only the
-    /// lookup strategy differs. Worth it when a delta re-checks a
-    /// handful of contracts in a large table: O(specs · runs · log n)
-    /// against the sweep's O(n) trie build.
+    /// Judge specific contracts without the merge walk: candidates
+    /// come from binary searches over the `(descending length,
+    /// ascending address)` entry order — one address-range probe per
+    /// length run at or below the contract's length for descendants,
+    /// one address probe per shorter run for the unique possible
+    /// ancestor. The candidate set `{r | C ⊆ r ∨ r ⊆ C}` and its
+    /// judging order are exactly the walk's, so verdicts stay
+    /// byte-identical; only the lookup strategy differs. Worth it when
+    /// a delta re-checks a handful of contracts in a large table:
+    /// O(specs · runs · log n) against the walk's O(n) cursor sweep.
     ///
-    /// `specs` comes in the sweep's DFS preorder — the cross-contract
+    /// `specs` comes in the walk's DFS preorder — the cross-contract
     /// `MissingRoute` dedup must see the same neighbors.
     fn judge_specifics_direct(
         &self,
@@ -561,16 +529,7 @@ impl TrieEngine {
         tagged: &mut Vec<(u32, Violation)>,
     ) {
         let entries = fib.entries();
-        // Length-run boundaries in storage order (descending length).
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut start = 0usize;
-        while start < entries.len() {
-            let len = entries[start].prefix.len();
-            let end =
-                start + entries[start..].partition_point(|e| e.prefix.len() == len);
-            runs.push((start as u32, end as u32));
-            start = end;
-        }
+        let runs = length_runs(entries);
         let mut codex = HopCodex::new(fib);
         let mut desc: Vec<u32> = Vec::new();
         let mut anc: Vec<u32> = Vec::new();
@@ -586,9 +545,9 @@ impl TrieEngine {
             anc.clear();
             let c_addr = c.prefix.addr();
             let c_end = u64::from(c_addr.0) + (1u64 << (32 - c.prefix.len()));
-            for &(s, e) in &runs {
-                let run = &entries[s as usize..e as usize];
-                if run[0].prefix.len() >= c.prefix.len() {
+            for r in &runs {
+                let (s, run) = (r.start, &entries[r.start as usize..r.end as usize]);
+                if r.len >= c.prefix.len() {
                     // Descendants: aligned blocks no larger than the
                     // contract's lie entirely inside it or entirely
                     // outside, so containment is an address-range test.
@@ -603,7 +562,7 @@ impl TrieEngine {
                     // disjoint, so the only rule that can contain the
                     // contract is the last one at or below its address.
                     // Runs arrive in descending length, matching the
-                    // sweep's leaf→root stack order.
+                    // walk's leaf→root ancestor order.
                     let p = run.partition_point(|r| r.prefix.addr() <= c_addr);
                     if p > 0 && run[p - 1].prefix.contains_prefix(c.prefix) {
                         anc.push(s + p as u32 - 1);
@@ -624,7 +583,7 @@ impl TrieEngine {
     /// `ancestors` (rules strictly containing it, descending prefix
     /// length). Verdicts and violation order are identical to the
     /// reference engine's descending-prefix-length candidate walk,
-    /// whichever lookup produced the candidates (trie sweep or direct
+    /// whichever lookup produced the candidates (merge walk or direct
     /// binary search).
     #[allow(clippy::too_many_arguments)]
     fn judge_one(
@@ -749,11 +708,7 @@ impl Engine for TrieEngine {
             Self::check_default(fib, c, &mut buf);
             tagged.extend(buf.drain(..).map(|v| (key, v)));
         }
-        let mut specs = contracts.specifics_dfs().peekable();
-        if specs.peek().is_some() {
-            let trie = FlatTrie::build(fib);
-            self.judge_specifics(fib, &trie, specs, &mut tagged);
-        }
+        self.judge_stretches(fib, contracts.stretches(), &mut tagged);
         Self::finish(tagged, contracts)
     }
 
@@ -763,9 +718,9 @@ impl Engine for TrieEngine {
     /// carry every other contract's verdict over from `prior`. Verdicts
     /// are emitted in contract order either way, so the result is
     /// identical — violation for violation — to a full pass. (The
-    /// affected specifics go through the same batched sweep as a full
+    /// affected specifics go through the same merge walk as a full
     /// pass; same-prefix contracts are affected together, so the
-    /// sweep-local `MissingRoute` dedup sees the same neighbors.)
+    /// walk-local `MissingRoute` dedup sees the same neighbors.)
     fn validate_delta(
         &self,
         fib: &Fib,
@@ -784,48 +739,57 @@ impl Engine for TrieEngine {
         }
         let touched: Vec<Prefix> = delta.touched_prefixes().collect();
         let mut tagged: Vec<(u32, Violation)> = Vec::new();
-        let mut specs: Vec<(u32, ContractRef<'_>)> = Vec::new();
         let mut buf: Vec<Violation> = Vec::new();
         let mut affected: Vec<u32> = Vec::new();
-        for (key, c) in contracts.affected(&touched) {
-            affected.push(key);
-            match c.kind {
-                ContractKind::Default => {
-                    Self::check_default(fib, c, &mut buf);
-                    tagged.extend(buf.drain(..).map(|v| (key, v)));
-                }
-                ContractKind::Specific => specs.push((key, c)),
+        if touched.iter().any(|p| p.is_default()) {
+            for (key, c) in contracts.defaults() {
+                affected.push(key);
+                Self::check_default(fib, c, &mut buf);
+                tagged.extend(buf.drain(..).map(|v| (key, v)));
             }
         }
+        let stretches: Vec<Stretch<'_>> = contracts.affected_stretches(&touched).collect();
+        affected.extend(
+            stretches
+                .iter()
+                .flat_map(|st| st.contracts().map(|(key, _)| key)),
+        );
         if !prior.violations.is_empty() {
             // Prior verdicts by contract identity, in prior (= contract)
             // order within each group, carried to every unaffected
-            // contract of that identity.
-            let mut carry: HashMap<(Prefix, ContractKind), Vec<&Violation>> = HashMap::new();
+            // contract of that identity. A report does not say which of
+            // two same-identity contracts a violation belongs to, so
+            // when a carried identity names more than one contract the
+            // carry is ambiguous: judge everything instead.
+            let mut carry: HashMap<(Prefix, ContractKind), (Vec<&Violation>, bool)> =
+                HashMap::new();
             for v in &prior.violations {
-                carry.entry((v.prefix, v.kind)).or_default().push(v);
+                carry.entry((v.prefix, v.kind)).or_default().0.push(v);
             }
             affected.sort_unstable();
             for (key, c) in contracts.keyed() {
                 if affected.binary_search(&key).is_err() {
-                    if let Some(prev) = carry.get(&(c.prefix, c.kind)) {
+                    if let Some((prev, used)) = carry.get_mut(&(c.prefix, c.kind)) {
+                        if std::mem::replace(used, true) {
+                            return self.validate_device(fib, contracts);
+                        }
                         tagged.extend(prev.iter().map(|&v| (key, v.clone())));
                     }
                 }
             }
         }
-        if !specs.is_empty() {
-            // The trie costs O(table) to build; a handful of
-            // re-checked contracts is cheaper to serve by binary
-            // search straight off the sorted entries (the what-if
-            // sweep's per-scenario shape: one or two touched prefixes
-            // per changed device). Both produce identical verdicts.
-            if specs.len() * 16 <= fib.len() {
-                self.judge_specifics_direct(fib, &specs, &mut tagged);
-            } else {
-                let trie = FlatTrie::build(fib);
-                self.judge_specifics(fib, &trie, specs.into_iter(), &mut tagged);
-            }
+        let n_specs: usize = stretches.iter().map(Stretch::len).sum();
+        // The walk costs O(table); a handful of re-checked contracts is
+        // cheaper to serve by binary search straight off the sorted
+        // entries (the what-if sweep's per-scenario shape: one or two
+        // touched prefixes per changed device). Both produce identical
+        // verdicts.
+        if n_specs * 16 <= fib.len() {
+            let specs: Vec<(u32, ContractRef<'_>)> =
+                stretches.into_iter().flat_map(Stretch::contracts).collect();
+            self.judge_specifics_direct(fib, &specs, &mut tagged);
+        } else {
+            self.judge_stretches(fib, stretches.into_iter(), &mut tagged);
         }
         Self::finish(tagged, contracts)
     }
@@ -1191,55 +1155,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_trie_layout_is_dfs_preorder() {
-        use bgpsim::FibBuilder;
-        use netprim::Ipv4;
-        let hops = vec![Ipv4::new(30, 0, 0, 1)];
-        let mut b = FibBuilder::new(dctopo::DeviceId(0));
-        // Inserted shuffled; the arena must come out in (addr, len)
-        // DFS preorder with correct parent/subtree links.
-        for p in [
-            "10.0.1.0/24",
-            "0.0.0.0/0",
-            "10.0.0.0/16",
-            "10.0.1.128/25",
-            "10.0.1.0/25",
-            "192.168.0.0/24",
-        ] {
-            b.push(p.parse().unwrap(), hops.clone(), false);
-        }
-        let fib = b.finish();
-        let trie = FlatTrie::build(&fib);
-        let prefixes: Vec<String> = trie.nodes.iter().map(|n| n.prefix.to_string()).collect();
-        assert_eq!(
-            prefixes,
-            [
-                "0.0.0.0/0",
-                "10.0.0.0/16",
-                "10.0.1.0/24",
-                "10.0.1.0/25",
-                "10.0.1.128/25",
-                "192.168.0.0/24"
-            ]
-        );
-        // Root covers everything; its children are the /16 and the
-        // 192.168/24, the /24's children are the two /25 halves.
-        assert_eq!(trie.nodes[0].subtree_end, 6);
-        assert_eq!(trie.children(0).collect::<Vec<_>>(), [1, 5]);
-        assert_eq!(trie.children(2).collect::<Vec<_>>(), [3, 4]);
-        assert_eq!(trie.nodes[3].parent, 2);
-        assert_eq!(trie.nodes[5].parent, 0);
-        // Each node's FIB entry link round-trips.
-        for n in &trie.nodes {
-            assert_eq!(fib.entries()[n.entry as usize].prefix, n.prefix);
-        }
-    }
-
-    #[test]
     fn default_route_shadows_longer_prefix_across_group_boundaries() {
-        // Regression (batched traversal): the default route enters the
-        // ancestor stack at the first contract group and must still be
-        // judged for later groups in the same sweep — including one
+        // Regression (batched traversal): the default route is consumed
+        // by the walk at the first contract group and must still be
+        // judged for later groups in the same walk — including one
         // where it serves the half of a contract range that a longer
         // (group-local) prefix does not cover.
         use bgpsim::FibBuilder;
@@ -1296,6 +1215,46 @@ mod tests {
             r.violations,
             ReferenceTrieEngine::new().validate_device(&fib, &dc).violations
         );
+    }
+
+    #[test]
+    fn delta_with_duplicate_violated_contracts_matches_full() {
+        // Regression: two violated contracts share one identity
+        // (prefix, kind) and the delta does not touch them. Carrying
+        // prior verdicts by identity handed each contract both
+        // contracts' violations (5 instead of 3).
+        use bgpsim::FibBuilder;
+        use netprim::Ipv4;
+        let hop = |i: u8| vec![Ipv4::new(30, 0, 0, i)];
+        let rules = |last: u8| {
+            let mut b = FibBuilder::new(dctopo::DeviceId(0));
+            for i in 0..5u8 {
+                let p = format!("10.0.{i}.0/24").parse().unwrap();
+                b.push(p, hop(if i == 4 { last } else { 1 }), false);
+            }
+            b.finish()
+        };
+        let (old, new) = (rules(1), rules(4));
+        let spec = |p: &str, hops: Vec<Ipv4>| Contract {
+            device: dctopo::DeviceId(0),
+            prefix: p.parse().unwrap(),
+            kind: ContractKind::Specific,
+            expectation: Expectation::NextHops(hops.into()),
+        };
+        let dc = DeviceContracts::from_contracts(vec![
+            spec("10.0.0.0/24", hop(2)),
+            spec("10.0.0.0/24", hop(3)),
+            spec("10.0.4.0/24", hop(1)),
+        ]);
+        let delta = Fib::delta(&old, &new);
+        assert_eq!(delta.rule_count(), 1);
+        for eng in [TrieEngine::new(), TrieEngine::semantic()] {
+            let prior = eng.validate_device(&old, &dc);
+            assert_eq!(prior.violations.len(), 2);
+            let full = eng.validate_device(&new, &dc);
+            assert_eq!(full.violations.len(), 3);
+            assert_eq!(eng.validate_delta(&new, &dc, &delta, &prior), full);
+        }
     }
 
     #[test]

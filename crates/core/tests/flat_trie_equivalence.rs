@@ -1,25 +1,29 @@
-//! Equivalence suite for the flat-trie rewrite: random workloads
-//! judged by the flat [`TrieEngine`], the frozen pointer-trie
+//! Equivalence suite for the trie engine's merge walk: random
+//! workloads judged by [`TrieEngine`], the frozen pointer-trie
 //! [`ReferenceTrieEngine`], and the [`SmtEngine`].
 //!
 //! The two tries share every convention (violation order, strictness,
 //! the cross-contract `MissingRoute` dedup), so they are compared on
 //! *full report identity* — rule for rule, in order. The SMT engine is
 //! compared on violated-contract keys, the cross-encoding agreement
-//! convention the differential fuzzer uses. The generator deliberately
-//! produces the shapes the batched sweep has to get right: overlapping
-//! rules under one subtree, a default route shadowing longer prefixes
-//! across contract groups, duplicate same-prefix contracts, and
-//! non-canonical expectation vectors (which must bypass the bitset
-//! codex).
+//! convention the differential fuzzer uses. The single-device
+//! generator deliberately produces the shapes the walk has to get
+//! right: overlapping rules under one subtree, a default route
+//! shadowing longer prefixes across contract groups, duplicate
+//! same-prefix contracts, and non-canonical expectation vectors (which
+//! must bypass the bitset codex). The fabric property runs generated
+//! contracts over simulated Clos tables, where stretches are long and
+//! their breaks come from real faults.
 
-use bgpsim::{Fib, FibBuilder};
-use dctopo::DeviceId;
+use bgpsim::{simulate, Fib, FibBuilder, SimConfig};
+use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService, Role};
 use netprim::{Ipv4, Prefix};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rcdc::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
-use rcdc::{Engine, ReferenceTrieEngine, SmtEngine, TrieEngine, ValidationReport};
+use rcdc::{
+    generate_contracts, Engine, ReferenceTrieEngine, SmtEngine, TrieEngine, ValidationReport,
+};
 
 /// Address universe base (`10.0.0.0/24`) — tiny on purpose: collisions
 /// (shadowing, partial coverage, shared subtrees) are where engines
@@ -131,7 +135,7 @@ fn violated_keys(r: &ValidationReport) -> Vec<(Prefix, ContractKind)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Flat trie == reference trie (full report), and both agree with
+    /// Trie engine == reference trie (full report), and both agree with
     /// the SMT engine on violated keys, in strict and semantic modes.
     #[test]
     fn three_engines_agree(
@@ -249,5 +253,89 @@ fn hop_universe_overflow_falls_back_to_vector_compare() {
             .violations
             .iter()
             .any(|v| v.prefix == prefix(256, 24)));
+    }
+}
+
+/// A small Clos; `prefixes_per_tor` above one puts several hosted
+/// prefixes (and so several excluded slots) on each ToR.
+fn clos_strategy() -> impl Strategy<Value = ClosParams> {
+    (1u32..=3, 1u32..=4, 1u32..=3, 1u32..=2, 1u32..=3).prop_map(
+        |(clusters, tors, leaves, spines_per_plane, prefixes)| ClosParams {
+            clusters,
+            tors_per_cluster: tors,
+            leaves_per_cluster: leaves,
+            spines: leaves * spines_per_plane,
+            regional_spines: 2,
+            regional_groups: 1,
+            prefixes_per_tor: prefixes,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Generated contracts over simulated fabric tables with random
+    /// downed links and one device per §2.6.2 bug class: every
+    /// device's report equals the reference engine's, strict and
+    /// semantic, and revalidating the healthy→faulted (and back) delta
+    /// equals the full pass.
+    #[test]
+    fn fabric_reports_match_reference(
+        params in clos_strategy(),
+        downed in vec(any::<u32>(), 0..4),
+        bugged in vec(any::<u32>(), 4..5),
+    ) {
+        let mut topology = build_clos(&params);
+        let meta = MetadataService::from_topology(&topology);
+        let contracts = generate_contracts(&meta);
+        let healthy = simulate(&topology, &SimConfig::healthy());
+        let n_links = topology.links().len();
+        for ix in &downed {
+            let id = topology.links()[*ix as usize % n_links].id;
+            topology.set_link_state(id, LinkState::OperDown);
+        }
+        // Bugs land on any device that receives contracts.
+        let targets: Vec<DeviceId> = topology
+            .devices()
+            .iter()
+            .filter(|d| d.role != Role::RegionalSpine)
+            .map(|d| d.id)
+            .collect();
+        let at = |i: usize| targets[bugged[i] as usize % targets.len()];
+        let config = SimConfig::healthy()
+            .with_rib_fib_bug(at(0), 1)
+            .with_l2_port_bug(at(1))
+            .with_default_reject(at(2))
+            .with_max_ecmp(at(3), 1);
+        let faulted = simulate(&topology, &config);
+        let mut dirty = 0;
+        for (flat, reference) in [
+            (TrieEngine::new(), ReferenceTrieEngine::new()),
+            (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
+        ] {
+            for ((old, new), dc) in healthy.iter().zip(&faulted).zip(&contracts) {
+                let full = flat.validate_device(new, dc);
+                prop_assert_eq!(
+                    &full,
+                    &reference.validate_device(new, dc),
+                    "device {:?}",
+                    new.device()
+                );
+                dirty += usize::from(!full.is_clean());
+                for (from, to, want) in [(old, new, &full), (new, old, &flat.validate_device(old, dc))] {
+                    let prior = flat.validate_device(from, dc);
+                    let delta = Fib::delta(from, to);
+                    prop_assert_eq!(
+                        &flat.validate_delta(to, dc, &delta, &prior),
+                        want,
+                        "delta, device {:?}",
+                        to.device()
+                    );
+                }
+            }
+        }
+        // The layer-2 port bug empties a table: something is dirty.
+        prop_assert!(dirty > 0);
     }
 }

@@ -15,6 +15,13 @@
 //! Claim 1 implication — if every local contract holds, the global
 //! baseline must find no dropped or looping paths for any hosted
 //! prefix.
+//!
+//! Clos mode (another fraction): a random 2–3-cluster Clos with random
+//! downed links and §2.6.2 device bugs, where generated contracts form
+//! long stretches over the simulated tables and the faults break them.
+//! Every device's trie report must equal the reference trie's byte for
+//! byte, strict and semantic, and revalidating the healthy→faulted
+//! delta must equal the full pass.
 
 use crate::gen::{
     build_contracts, build_fib, random_contract_specs, random_fib_specs, render_case,
@@ -25,7 +32,7 @@ use crate::shrink::shrink_list;
 use crate::Failure;
 use bgpsim::{simulate, Fib, SimConfig};
 use dctopo::generator::figure3;
-use dctopo::{DeviceId, LinkState, MetadataService};
+use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService, Role};
 use netprim::Prefix;
 use rcdc::contracts::{ContractRef, Expectation};
 use rcdc::global_baseline::{forwarding_analysis, PathInfo};
@@ -95,7 +102,7 @@ fn check_single_device(fib_specs: &[FibSpec], contract_specs: &[ContractSpec]) -
     let smt_strict = SmtEngine::new().validate_device(&fib, &contracts);
     let smt_sem = SmtEngine::semantic().validate_device(&fib, &contracts);
 
-    // The flat trie vs the frozen pointer-trie reference: these share
+    // The trie engine vs the frozen pointer-trie reference: these share
     // the violation conventions exactly, so the comparison is the full
     // report — rule for rule, in order — not just violated keys.
     for (label, flat, reference) in [
@@ -105,7 +112,7 @@ fn check_single_device(fib_specs: &[FibSpec], contract_specs: &[ContractSpec]) -
         let want = reference.validate_device(&fib, &contracts);
         if *flat != want {
             return Some(format!(
-                "{label} flat trie diverges from reference trie: {:?} vs {:?}",
+                "{label} trie engine diverges from reference trie: {:?} vs {:?}",
                 flat.violations, want.violations
             ));
         }
@@ -229,6 +236,103 @@ fn check_fabric_case(kills: &[usize], smt_devices: &[usize]) -> Option<String> {
     None
 }
 
+/// One fault of a Clos case; indices wrap over the fabric's links and
+/// contract-bearing devices.
+#[derive(Debug, Clone, Copy)]
+enum ClosFault {
+    LinkDown(usize),
+    RibFibBug(usize),
+    L2PortBug(usize),
+    DefaultReject(usize),
+    MaxEcmp(usize),
+}
+
+fn random_clos_case(r: &mut Rng) -> (ClosParams, Vec<ClosFault>) {
+    // Spines must spread evenly across the leaf planes.
+    let leaves = r.range(1, 3) as u32;
+    let params = ClosParams {
+        clusters: r.range(2, 3) as u32,
+        tors_per_cluster: r.range(1, 4) as u32,
+        leaves_per_cluster: leaves,
+        spines: leaves * r.range(1, 2) as u32,
+        regional_spines: r.range(1, 2) as u32,
+        regional_groups: 1,
+        prefixes_per_tor: r.range(1, 3) as u32,
+    };
+    let faults = (0..r.below(6))
+        .map(|_| {
+            let i = r.below(1 << 16) as usize;
+            match r.below(5) {
+                0 => ClosFault::RibFibBug(i),
+                1 => ClosFault::L2PortBug(i),
+                2 => ClosFault::DefaultReject(i),
+                3 => ClosFault::MaxEcmp(i),
+                _ => ClosFault::LinkDown(i),
+            }
+        })
+        .collect();
+    (params, faults)
+}
+
+/// Trie vs reference trie, full and delta, on every device of a
+/// faulted Clos.
+fn check_clos_case(params: &ClosParams, faults: &[ClosFault]) -> Option<String> {
+    let mut topology = build_clos(params);
+    let meta = MetadataService::from_topology(&topology);
+    let contracts = generate_contracts(&meta);
+    let healthy = simulate(&topology, &SimConfig::healthy());
+    let devices: Vec<DeviceId> = topology
+        .devices()
+        .iter()
+        .filter(|d| d.role != Role::RegionalSpine)
+        .map(|d| d.id)
+        .collect();
+    let mut config = SimConfig::healthy();
+    for &f in faults {
+        let dev = |i: usize| devices[i % devices.len()];
+        config = match f {
+            ClosFault::LinkDown(i) => {
+                let id = topology.links()[i % topology.links().len()].id;
+                topology.set_link_state(id, LinkState::OperDown);
+                config
+            }
+            ClosFault::RibFibBug(i) => config.with_rib_fib_bug(dev(i), 1),
+            ClosFault::L2PortBug(i) => config.with_l2_port_bug(dev(i)),
+            ClosFault::DefaultReject(i) => config.with_default_reject(dev(i)),
+            ClosFault::MaxEcmp(i) => config.with_max_ecmp(dev(i), 1),
+        };
+    }
+    let faulted = simulate(&topology, &config);
+    for (label, trie, reference) in [
+        ("strict", TrieEngine::new(), ReferenceTrieEngine::new()),
+        ("semantic", TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
+    ] {
+        for ((old, new), dc) in healthy.iter().zip(&faulted).zip(&contracts) {
+            let full = trie.validate_device(new, dc);
+            let want = reference.validate_device(new, dc);
+            if full != want {
+                return Some(format!(
+                    "{label} clos device {:?}: trie {:?} vs reference {:?}",
+                    new.device(),
+                    full.violations,
+                    want.violations
+                ));
+            }
+            let prior = trie.validate_device(old, dc);
+            let inc = trie.validate_delta(new, dc, &Fib::delta(old, new), &prior);
+            if inc != full {
+                return Some(format!(
+                    "{label} clos device {:?}: delta {:?} vs full {:?}",
+                    new.device(),
+                    inc.violations,
+                    full.violations
+                ));
+            }
+        }
+    }
+    None
+}
+
 pub(crate) fn run(seed: u64) -> Result<(), Failure> {
     let mut r = Rng::new(seed);
     let (fib, contracts) = single_device_case(&mut r);
@@ -250,6 +354,17 @@ pub(crate) fn run(seed: u64) -> Result<(), Failure> {
             return Err(Failure {
                 summary,
                 minimized: format!("figure3 with links {kills_min:?} set OperDown"),
+            });
+        }
+    }
+    if r.chance(1, 8) {
+        let (params, faults) = random_clos_case(&mut r);
+        if let Some(summary) = check_clos_case(&params, &faults) {
+            let faults_min =
+                shrink_list(&faults, |fs| check_clos_case(&params, fs).is_some());
+            return Err(Failure {
+                summary,
+                minimized: format!("{params:?} with faults {faults_min:?}"),
             });
         }
     }
@@ -277,6 +392,27 @@ mod tests {
     #[test]
     fn healthy_fabric_has_no_divergence() {
         assert_eq!(check_fabric_case(&[], &[0, 7, 19]), None);
+    }
+
+    #[test]
+    fn faulted_clos_has_no_divergence() {
+        let params = ClosParams {
+            clusters: 2,
+            tors_per_cluster: 3,
+            leaves_per_cluster: 2,
+            spines: 4,
+            regional_spines: 2,
+            regional_groups: 1,
+            prefixes_per_tor: 2,
+        };
+        let faults = [
+            ClosFault::LinkDown(1),
+            ClosFault::RibFibBug(0),
+            ClosFault::L2PortBug(3),
+            ClosFault::DefaultReject(7),
+            ClosFault::MaxEcmp(9),
+        ];
+        assert_eq!(check_clos_case(&params, &faults), None);
     }
 
     #[test]
