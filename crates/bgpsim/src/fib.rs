@@ -9,7 +9,7 @@
 
 use dctopo::DeviceId;
 use netprim::wire::{DeltaRule, FibDelta, WireEntry, WireSnapshot};
-use netprim::{HopSet, Ipv4, ParseError, Prefix};
+use netprim::{Ipv4, ParseError, Prefix};
 use std::collections::HashMap;
 
 /// One FIB entry: destination prefix plus interned next-hop set.
@@ -32,24 +32,22 @@ pub struct Fib {
     sets: Vec<Vec<Ipv4>>,
 }
 
+/// Canonical entry order: descending prefix length, then ascending
+/// address — the longest-prefix-match processing order.
+pub(crate) fn canonical_lt(a: Prefix, b: Prefix) -> bool {
+    a.len() > b.len() || (a.len() == b.len() && a.addr() < b.addr())
+}
+
 /// Incremental FIB construction with next-hop-set interning.
 pub struct FibBuilder {
     device: DeviceId,
     entries: Vec<FibEntry>,
     sets: Vec<Vec<Ipv4>>,
     interner: HashMap<Vec<Ipv4>, u32>,
-    /// Fast-path interner keyed by [`HopSet`] bitmask. Valid only
-    /// relative to the single neighbor table this builder's
-    /// [`push_bits`](Self::push_bits) calls share (one device, one
-    /// table), which is why it is keyed on the mask alone.
-    set_interner: HashMap<HopSet, u32>,
-    /// The previous [`intern_bits`](Self::intern_bits) result. The
-    /// simulator emits one entry per prefix per device, and on a Clos
-    /// almost every consecutive prefix resolves to the same ECMP set
-    /// (a ToR reaches every remote /24 through the same leaves), so
-    /// this one-entry memo turns the common probe into a 64-byte
-    /// compare with no hashing at all.
-    last_bits: Option<(HopSet, u32)>,
+    /// The entries so far are strictly in canonical order. Kept up to
+    /// date as entries arrive, so [`finish`](Self::finish) needs no
+    /// scan of the finished table to skip its sort.
+    canonical: bool,
 }
 
 impl FibBuilder {
@@ -60,8 +58,15 @@ impl FibBuilder {
             entries: Vec::new(),
             sets: Vec::new(),
             interner: HashMap::new(),
-            set_interner: HashMap::new(),
-            last_bits: None,
+            canonical: true,
+        }
+    }
+
+    /// Entries starting at prefix `next` are about to be appended: the
+    /// table stays canonical only if `next` follows the last entry.
+    fn note_append(&mut self, next: Prefix) {
+        if let Some(last) = self.entries.last() {
+            self.canonical &= canonical_lt(last.prefix, next);
         }
     }
 
@@ -80,63 +85,30 @@ impl FibBuilder {
         id
     }
 
-    /// Intern a next-hop set given as a [`HopSet`] over `table`, the
-    /// device's ascending-sorted neighbor-address table (bit `i` ↔
-    /// `table[i]`). The hot path of the simulator's emit loop: a
-    /// repeated mask costs one 64-byte hash probe instead of a
-    /// `Vec` materialize + sort + dedup per entry. All `push_bits`/
-    /// `intern_bits` calls on one builder must share one `table`.
-    pub fn intern_bits(&mut self, bits: &HopSet, table: &[Ipv4]) -> u32 {
-        debug_assert!(table.windows(2).all(|w| w[0] < w[1]));
-        if let Some((mask, id)) = self.last_bits {
-            if mask == *bits {
-                return id;
-            }
-        }
-        if let Some(&id) = self.set_interner.get(bits) {
-            self.last_bits = Some((*bits, id));
-            return id;
-        }
-        // Bits iterate ascending over a sorted duplicate-free table,
-        // so the materialized vector is already canonical.
-        let hops: Vec<Ipv4> = bits.iter().map(|b| table[b as usize]).collect();
-        let id = match self.interner.get(&hops) {
-            Some(&id) => id,
-            None => {
-                let id = self.sets.len() as u32;
-                self.sets.push(hops.clone());
-                self.interner.insert(hops, id);
-                id
-            }
-        };
-        self.set_interner.insert(*bits, id);
-        self.last_bits = Some((*bits, id));
-        id
-    }
-
     /// Append an entry.
     pub fn push(&mut self, prefix: Prefix, hops: Vec<Ipv4>, local: bool) {
         let set = self.intern(hops);
-        self.entries.push(FibEntry { prefix, set, local });
-    }
-
-    /// Append an entry whose next hops are a [`HopSet`] over `table`
-    /// (see [`intern_bits`](Self::intern_bits)).
-    pub fn push_bits(&mut self, prefix: Prefix, bits: &HopSet, table: &[Ipv4], local: bool) {
-        let set = self.intern_bits(bits, table);
+        self.note_append(prefix);
         self.entries.push(FibEntry { prefix, set, local });
     }
 
     /// Append one entry per prefix, all sharing an already-interned hop
-    /// set — the id a prior [`intern`](Self::intern)/
-    /// [`intern_bits`](Self::intern_bits) call on *this* builder
-    /// returned. The simulator's emit loop run-length encodes each
+    /// set — the id a prior [`intern`](Self::intern) call on *this*
+    /// builder returned. The simulator's emit loop run-length encodes each
     /// device's forwarding state over the prefix sequence and expands
     /// the runs here, so the 10⁴-builder sweep appends long streaming
     /// stretches instead of one scattered push per (prefix, device)
     /// pair. Equivalent to pushing each prefix individually in order.
     pub fn extend_run(&mut self, prefixes: &[Prefix], set: u32, local: bool) {
         debug_assert!((set as usize) < self.sets.len(), "unknown interned set id");
+        let Some(&first) = prefixes.first() else {
+            return;
+        };
+        // The run's prefixes come from the caller's shared, cache-hot
+        // prefix list, so checking them here is cheaper than scanning
+        // the finished table.
+        self.note_append(first);
+        self.canonical &= prefixes.windows(2).all(|w| canonical_lt(w[0], w[1]));
         self.entries
             .extend(prefixes.iter().map(|&prefix| FibEntry { prefix, set, local }));
     }
@@ -154,9 +126,26 @@ impl FibBuilder {
     /// the workers in range order reproduces the serial push sequence
     /// — and therefore the exact serial [`finish`](Self::finish)
     /// result, interned pool layout included.
+    ///
+    /// Each source set is interned once, at its first use in `other`'s
+    /// entry order — the moment a serial push of that entry would have
+    /// interned it — and the remapped entries are appended in bulk.
     pub fn absorb(&mut self, other: &FibBuilder) {
+        if let Some(first) = other.entries.first() {
+            self.note_append(first.prefix);
+            self.canonical &= other.canonical;
+        }
+        let mut map = vec![u32::MAX; other.sets.len()];
+        self.entries.reserve(other.entries.len());
         for e in &other.entries {
-            self.push(e.prefix, other.sets[e.set as usize].clone(), e.local);
+            let src = e.set as usize;
+            if map[src] == u32::MAX {
+                map[src] = self.intern(other.sets[src].clone());
+            }
+            self.entries.push(FibEntry {
+                set: map[src],
+                ..*e
+            });
         }
     }
 
@@ -187,15 +176,8 @@ impl FibBuilder {
         // ascending address, the default last) — already the canonical
         // order, with no duplicates. Strict sortedness implies prefix
         // uniqueness, so the O(n log n) sort and the dedup pass can
-        // both be skipped after one linear scan.
-        let sorted = self.entries.windows(2).all(|w| {
-            w[1].prefix
-                .len()
-                .cmp(&w[0].prefix.len())
-                .then(w[0].prefix.addr().cmp(&w[1].prefix.addr()))
-                .is_lt()
-        });
-        if sorted {
+        // both be skipped.
+        if self.canonical {
             return Fib {
                 device: self.device,
                 entries: self.entries,
@@ -239,13 +221,9 @@ impl Fib {
     /// skipping the per-entry interner — the caller owns the proof that
     /// the layout matches what a builder replay would have produced.
     pub(crate) fn from_parts(device: DeviceId, entries: Vec<FibEntry>, sets: Vec<Vec<Ipv4>>) -> Fib {
-        debug_assert!(entries.windows(2).all(|w| {
-            w[1].prefix
-                .len()
-                .cmp(&w[0].prefix.len())
-                .then(w[0].prefix.addr().cmp(&w[1].prefix.addr()))
-                .is_lt()
-        }));
+        debug_assert!(entries
+            .windows(2)
+            .all(|w| canonical_lt(w[0].prefix, w[1].prefix)));
         debug_assert!(entries.iter().all(|e| (e.set as usize) < sets.len()));
         Fib {
             device,
@@ -935,34 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn push_bits_interns_like_push() {
-        // The bitset path and the Vec path must agree on pool identity
-        // and canonical hop order, whichever interleaving occurs.
-        let table = hops(&[[30, 0, 0, 1], [30, 0, 0, 3], [30, 0, 0, 5]]);
-        let mut b = FibBuilder::new(DeviceId(2));
-        let bits: HopSet = [0u16, 2].into_iter().collect();
-        b.push_bits(p("10.0.0.0/24"), &bits, &table, false);
-        b.push(
-            p("10.0.1.0/24"),
-            hops(&[[30, 0, 0, 5], [30, 0, 0, 1]]),
-            false,
-        );
-        b.push_bits(p("10.0.2.0/24"), &HopSet::new(), &table, true);
-        let f = b.finish();
-        assert_eq!(f.set_pool_len(), 2, "vec and bitset pushes share sets");
-        let a = f.entry_for(p("10.0.0.0/24")).unwrap();
-        let c = f.entry_for(p("10.0.1.0/24")).unwrap();
-        assert_eq!(a.set, c.set);
-        assert_eq!(
-            f.next_hops(a),
-            &[Ipv4::new(30, 0, 0, 1), Ipv4::new(30, 0, 0, 5)]
-        );
-        let l = f.entry_for(p("10.0.2.0/24")).unwrap();
-        assert!(l.local);
-        assert!(f.next_hops(l).is_empty());
-    }
-
-    #[test]
     fn absorb_replays_pushes_in_order() {
         // Serial pushes vs two absorbed partial builders: identical
         // tables, interned pool layout included.
@@ -987,6 +937,33 @@ mod tests {
         merged.absorb(&w0);
         merged.absorb(&w1);
         assert_eq!(merged.finish(), serial.finish());
+    }
+
+    #[test]
+    fn out_of_order_runs_and_absorbs_still_finish_sorted() {
+        // `finish` skips its sort only while every append kept the
+        // table canonical; a run or an absorbed builder that breaks the
+        // order must send it down the sorting path.
+        let sorted = |f: &Fib| {
+            f.entries()
+                .windows(2)
+                .all(|w| canonical_lt(w[0].prefix, w[1].prefix))
+        };
+        let mut b = FibBuilder::new(DeviceId(3));
+        let set = b.intern(hops(&[[30, 0, 0, 1]]));
+        b.extend_run(&[p("10.0.2.0/24"), p("10.0.1.0/24")], set, false);
+        let f = b.finish();
+        assert!(sorted(&f));
+        assert_eq!(f.len(), 2);
+
+        let mut w = FibBuilder::new(DeviceId(3));
+        w.push(p("10.0.0.0/24"), vec![], true);
+        let mut b = FibBuilder::new(DeviceId(3));
+        b.push(p("10.0.5.0/24"), vec![], true);
+        b.absorb(&w);
+        let f = b.finish();
+        assert!(sorted(&f));
+        assert_eq!(f.entries()[0].prefix, p("10.0.0.0/24"));
     }
 
     #[test]

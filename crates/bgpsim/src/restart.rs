@@ -23,8 +23,9 @@
 //!   AS-path sequences, so any parent choice produces the same
 //!   observables (acceptance verdicts and hop masks). Tie-break
 //!   freedom is a property of the healthy state, computed once at
-//!   [`Baseline::converge`]; generated Clos fabrics satisfy it for
-//!   every prefix (same-tier ECMP senders share ASN sequences).
+//!   [`Baseline::converge`] by interning each device's advertised path
+//!   as an id; generated Clos fabrics satisfy it for every prefix
+//!   (same-tier ECMP senders share ASN sequences).
 //! * Anything else — a hop set emptied, a non-tie-break-free parent
 //!   lost — falls back to re-running the per-prefix BFS on the faulted
 //!   session graph, which is exact by construction. Fallbacks are the
@@ -40,12 +41,13 @@
 //! single-link failure on a seeded Clos.
 
 use crate::config::SimConfig;
-use crate::fib::{Fib, FibBuilder, FibEntry};
+use crate::fib::{canonical_lt, Fib, FibBuilder, FibEntry};
 use crate::sim::{
-    emit_runs, expand_runs, propagate, work_list, EmitRle, Hops, Relaxation, SimNet, SimStats, INF,
+    emit_runs, expand_runs, hop_addrs, popcount, propagate, set_bits, words_eq, work_list, EmitRle,
+    Relaxation, SimNet, SimStats, INF,
 };
-use dctopo::{Asn, DeviceId, LinkId, LinkState, Topology};
-use netprim::{HopSet, Ipv4, Prefix};
+use dctopo::{DeviceId, LinkId, LinkState, Topology};
+use netprim::{Ipv4, Prefix};
 use std::collections::{HashMap, HashSet};
 
 /// One failure scenario: a set of links and devices to take down
@@ -156,12 +158,9 @@ struct PrefixState {
     best: Vec<u8>,
     /// BFS parent per device (valid where `0 < best < INF`).
     parent: Vec<u32>,
-    /// Hop mask over the device's neighbor-address table (devices
-    /// whose table fits a [`HopSet`]).
-    bits: Vec<HopSet>,
-    /// Hop addresses for over-capacity devices (rare; unsorted, the
-    /// relaxation's insertion order).
-    spill: HashMap<u32, Vec<Ipv4>>,
+    /// Hop masks over each device's neighbor-address table, in the
+    /// flat [`SimNet::word_off`] layout (zero where no hop data).
+    hops: Vec<u64>,
     /// Every multi-sender device's candidate parents advertise equal
     /// AS-path sequences, so a parent-edge death still patches exactly.
     tie_free: bool,
@@ -197,36 +196,19 @@ impl Baseline {
             .iter()
             .map(|d| config.device(d.id).is_some_and(|o| o.l2_port_bug))
             .collect();
-        let mut bit_peer: Vec<Vec<u32>> =
-            net.addr_table.iter().map(|t| vec![0; t.len()]).collect();
-        for l in topology.links() {
-            let (lo, hi) = (l.lo.0 as usize, l.hi.0 as usize);
-            let bl = net.addr_table[lo]
-                .binary_search(&l.hi_addr)
-                .expect("link address is in the owner's table");
-            bit_peer[lo][bl] = l.hi.0;
-            let bh = net.addr_table[hi]
-                .binary_search(&l.lo_addr)
-                .expect("link address is in the owner's table");
-            bit_peer[hi][bh] = l.lo.0;
-        }
+        let bit_peer = bit_peers(topology, &net);
         let work = work_list(topology);
-        let canonical_work = work.windows(2).all(|w| {
-            w[1].0
-                .len()
-                .cmp(&w[0].0.len())
-                .then(w[0].0.addr().cmp(&w[1].0.addr()))
-                .is_lt()
-        });
+        let canonical_work = work.windows(2).all(|w| canonical_lt(w[0].0, w[1].0));
         // One pass does both jobs: snapshot each prefix's converged
         // state for the scenario patcher, and emit the healthy tables
         // through the simulator's own run-length path — the exact
         // serial push sequence `simulate` performs, so the healthy
         // FIBs are bit-identical by construction, not by replay.
-        let mut relax = Relaxation::new(n, true);
+        let mut relax = Relaxation::new(&net);
         let mut sim_stats = SimStats::default();
         let mut states = Vec::with_capacity(work.len());
-        let mut rle = EmitRle::new(n);
+        let mut rle = EmitRle::new(&net);
+        let mut paths = PathIds::new(n);
         let mut builders: Vec<FibBuilder> = topology
             .devices()
             .iter()
@@ -236,7 +218,7 @@ impl Baseline {
             relax.reset();
             propagate(&net, &mut relax, *prefix, origins, &mut sim_stats);
             let mut st = snapshot(&net, &relax);
-            st.tie_free = tie_break_free(&st, &net.asn, &net.addr_table, &bit_peer);
+            st.tie_free = paths.tie_break_free(&st, &relax.touched, &net, &bit_peer);
             states.push(st);
             emit_runs(&net, &relax, k as u32, *prefix, &mut rle, &mut builders);
         }
@@ -361,11 +343,7 @@ impl Baseline {
                 if bs == INF || br == 0 || br == INF || bs + 1 != br {
                     continue; // edge never carried a minimal-path route
                 }
-                let contributed = match st.spill.get(&r) {
-                    Some(sp) => sp.contains(&self.net.addr_table[ru][bit as usize]),
-                    None => st.bits[ru].contains(bit),
-                };
-                if !contributed {
+                if !has_bit(&st.hops[self.net.span(ru)], bit) {
                     continue;
                 }
                 if st.parent[ru] == s && !st.tie_free {
@@ -380,11 +358,7 @@ impl Baseline {
                 // An emptied hop set changes the receiver's distance
                 // and cascades; only the BFS knows where to.
                 needs_fallback = removed.iter().any(|(&r, bits_rm)| {
-                    let healthy_len = match st.spill.get(&r) {
-                        Some(sp) => sp.len(),
-                        None => st.bits[r as usize].len() as usize,
-                    };
-                    healthy_len == bits_rm.len()
+                    popcount(&st.hops[self.net.span(r as usize)]) as usize == bits_rm.len()
                 });
             }
             if needs_fallback {
@@ -408,7 +382,7 @@ impl Baseline {
         if !fallback.is_empty() {
             stats.repropagated = fallback.len();
             let fnet = SimNet::build_filtered(&self.topology, &self.config, &dead_links);
-            let mut relax = Relaxation::new(n, true);
+            let mut relax = Relaxation::new(&fnet);
             let mut sim_stats = SimStats::default();
             for &k in &fallback {
                 let (prefix, origins) = &self.work[k as usize];
@@ -593,11 +567,6 @@ impl Baseline {
                 }
             }
         }
-        // Canonical entry order: descending prefix length, ascending
-        // address (what `Fib` stores and a canonical work list emits).
-        let canonical_less = |a: Prefix, b: Prefix| {
-            a.len() > b.len() || (a.len() == b.len() && a.addr() < b.addr())
-        };
         // Merge this device's patches with the fallback prefixes (both
         // ascending in work index, disjoint by construction).
         let (mut pi, mut fi) = (0usize, 0usize);
@@ -618,8 +587,7 @@ impl Baseline {
             // Bulk-copy the healthy run strictly before the affected
             // prefix; only set ids can differ, and only after a novel
             // set entered the pool.
-            let until =
-                hi + h_entries[hi..].partition_point(|e| canonical_less(e.prefix, prefix));
+            let until = hi + h_entries[hi..].partition_point(|e| canonical_lt(e.prefix, prefix));
             if diverged {
                 copy_remapped(healthy, &mut sets, &mut h_map, &novel, &mut entries, &h_entries[hi..until]);
             } else {
@@ -748,10 +716,9 @@ impl Baseline {
 }
 
 /// One device's faulted emission for one prefix: the snapshotted hop
-/// state minus `removed` neighbor-table bits, canonicalized and
-/// cap-truncated exactly as the simulator's emit loop would
-/// (sort → truncate → dedup; bit order is already address order on the
-/// bitset path, so truncating the mask keeps the smallest addresses).
+/// mask minus `removed` neighbor-table bits, cap-truncated exactly as
+/// the simulator's emit loop would (bit order is address order, so
+/// keeping the lowest bits keeps the smallest addresses).
 fn emit_hops(
     st: &PrefixState,
     du: usize,
@@ -759,31 +726,29 @@ fn emit_hops(
     cap: u32,
     net: &SimNet,
 ) -> Vec<Ipv4> {
-    match st.spill.get(&(du as u32)) {
-        Some(sp) => {
-            let mut h = sp.clone();
-            for &bit in removed {
-                let addr = net.addr_table[du][bit as usize];
-                h.retain(|&x| x != addr);
-            }
-            h.sort_unstable();
-            h.truncate(cap as usize);
-            h.dedup();
-            h
-        }
-        None => {
-            let mut mask = st.bits[du];
-            for &bit in removed {
-                mask.remove(bit);
-            }
-            if cap != u32::MAX && cap < mask.len() {
-                mask.truncate(cap);
-            }
-            mask.iter()
-                .map(|bit| net.addr_table[du][bit as usize])
-                .collect()
-        }
+    hop_addrs(&st.hops[net.span(du)], &net.addr_table[du], removed, cap)
+}
+
+/// Is local `bit` set in a device's hop mask?
+fn has_bit(words: &[u64], bit: u16) -> bool {
+    words[bit as usize / 64] >> (bit % 64) & 1 != 0
+}
+
+/// Per device, per neighbor-table bit: the neighbor device behind it.
+fn bit_peers(topology: &Topology, net: &SimNet) -> Vec<Vec<u32>> {
+    let mut bit_peer: Vec<Vec<u32>> = net.addr_table.iter().map(|t| vec![0; t.len()]).collect();
+    for l in topology.links() {
+        let (lo, hi) = (l.lo.0 as usize, l.hi.0 as usize);
+        let bl = net.addr_table[lo]
+            .binary_search(&l.hi_addr)
+            .expect("link address is in the owner's table");
+        bit_peer[lo][bl] = l.hi.0;
+        let bh = net.addr_table[hi]
+            .binary_search(&l.lo_addr)
+            .expect("link address is in the owner's table");
+        bit_peer[hi][bh] = l.lo.0;
     }
+    bit_peer
 }
 
 /// The prefixes on which two canonical-ordered tables disagree
@@ -827,36 +792,23 @@ fn diff_prefixes(old: &Fib, new: &Fib) -> Vec<Prefix> {
 /// Snapshot the relaxation scratch into an owned [`PrefixState`],
 /// zeroing hop data where it is stale (origins, unreached devices).
 fn snapshot(net: &SimNet, relax: &Relaxation) -> PrefixState {
-    let n = relax.best.len();
-    let Hops::Bits { bits, spill } = &relax.hops else {
-        unreachable!("the restart path always converges in bitset mode")
-    };
-    let mut sbits = vec![HopSet::new(); n];
-    let mut sspill = HashMap::new();
-    for du in 0..n {
-        let b = relax.best[du];
+    let mut hops = relax.hops.clone();
+    for (du, &b) in relax.best.iter().enumerate() {
         if b == 0 || b == INF {
-            continue;
-        }
-        if net.fits[du] {
-            sbits[du] = bits[du];
-        } else {
-            sspill.insert(du as u32, spill[du].clone());
+            hops[net.span(du)].fill(0);
         }
     }
     PrefixState {
         best: relax.best.clone(),
         parent: relax.parent.iter().map(|p| p.0).collect(),
-        bits: sbits,
-        spill: sspill,
+        hops,
         tie_free: false,
     }
 }
 
 /// Emit one device's entry for one prefix from a snapshotted state,
 /// with `removed` neighbor-table bits cleared from its hop set —
-/// reproducing `emit_vecs` semantics (sorted hops, cap truncation).
-#[allow(clippy::too_many_arguments)]
+/// the simulator's emission (sorted hops, cap truncation).
 fn push_state(
     builder: &mut FibBuilder,
     st: &PrefixState,
@@ -866,37 +818,11 @@ fn push_state(
     removed: &[u16],
     net: &SimNet,
 ) {
-    let best = st.best[du];
-    if best == INF {
-        return;
+    match st.best[du] {
+        INF => {}
+        0 => builder.push(prefix, Vec::new(), true),
+        _ => builder.push(prefix, emit_hops(st, du, removed, cap, net), false),
     }
-    if best == 0 {
-        builder.push(prefix, Vec::new(), true);
-        return;
-    }
-    let mut hops: Vec<Ipv4> = match st.spill.get(&(du as u32)) {
-        Some(sp) => {
-            let mut h = sp.clone();
-            for &bit in removed {
-                let addr = net.addr_table[du][bit as usize];
-                h.retain(|&x| x != addr);
-            }
-            h.sort_unstable();
-            h
-        }
-        None => {
-            let mut mask = st.bits[du];
-            for &bit in removed {
-                mask.remove(bit);
-            }
-            // Bit order is address order: the vector is born sorted.
-            mask.iter()
-                .map(|bit| net.addr_table[du][bit as usize])
-                .collect()
-        }
-    };
-    hops.truncate(cap as usize);
-    builder.push(prefix, hops, false);
 }
 
 /// Do two snapshots agree on one device's emitted state?
@@ -905,69 +831,73 @@ fn state_eq_at(a: &PrefixState, b: &PrefixState, du: usize, net: &SimNet) -> boo
     if x != y {
         return false;
     }
-    if x == 0 || x == INF {
-        return true;
-    }
-    if net.fits[du] {
-        a.bits[du] == b.bits[du]
-    } else {
-        a.spill.get(&(du as u32)) == b.spill.get(&(du as u32))
-    }
+    x == 0 || x == INF || words_eq(&a.hops[net.span(du)], &b.hops[net.span(du)])
 }
 
-/// The AS-path sequence device `from` advertises, via parent walk.
-fn path_seq(st: &PrefixState, asn: &[Asn], mut from: u32, out: &mut Vec<Asn>) {
-    out.clear();
-    loop {
-        out.push(asn[from as usize]);
-        if st.best[from as usize] == 0 {
-            return;
-        }
-        from = st.parent[from as usize];
-    }
+/// Interned advertised AS paths, the scratch of the tie-break check.
+/// `pid(d) = intern(asn(d), pid(parent(d)))`, with origins interned
+/// against no parent, so two devices have equal ids exactly when they
+/// advertise equal AS-path sequences.
+struct PathIds {
+    /// Per device: its path id (valid for the current prefix's
+    /// reached devices).
+    pid: Vec<u32>,
+    /// `(asn, parent path id)` → path id, reset per prefix.
+    ids: HashMap<u64, u32>,
 }
 
-/// Is the prefix tie-break-free: does every device with multiple
-/// equal-length senders see identical AS-path sequences from all of
-/// them? If so, any BFS parent choice yields the same observables, and
-/// a parent-edge death is patchable without re-running the BFS.
-fn tie_break_free(
-    st: &PrefixState,
-    asn: &[Asn],
-    addr_table: &[Vec<Ipv4>],
-    bit_peer: &[Vec<u32>],
-) -> bool {
-    let mut first = Vec::new();
-    let mut other = Vec::new();
-    for ru in 0..st.best.len() {
-        let b = st.best[ru];
-        if b == 0 || b == INF {
-            continue;
+impl PathIds {
+    const NO_PATH: u32 = u32::MAX;
+
+    fn new(n: usize) -> PathIds {
+        PathIds {
+            pid: vec![0; n],
+            ids: HashMap::new(),
         }
-        let senders: Vec<u32> = match st.spill.get(&(ru as u32)) {
-            Some(sp) => sp
-                .iter()
-                .map(|addr| {
-                    let bit = addr_table[ru]
-                        .binary_search(addr)
-                        .expect("hop address is in the neighbor table");
-                    bit_peer[ru][bit]
-                })
-                .collect(),
-            None => st.bits[ru].iter().map(|bit| bit_peer[ru][bit as usize]).collect(),
-        };
-        if senders.len() <= 1 {
-            continue;
-        }
-        path_seq(st, asn, senders[0], &mut first);
-        for &s in &senders[1..] {
-            path_seq(st, asn, s, &mut other);
-            if first != other {
+    }
+
+    /// Is the prefix tie-break-free: does every device with multiple
+    /// equal-length senders see one AS-path sequence from all of them?
+    /// If so, any BFS parent choice yields the same observables, and a
+    /// parent-edge death is patchable without re-running the BFS.
+    ///
+    /// `order` lists the reached devices parents first (the
+    /// relaxation's discovery order, along which distances never
+    /// decrease), so a device's parent and senders — all one level
+    /// closer to an origin — have their ids before it is visited.
+    fn tie_break_free(
+        &mut self,
+        st: &PrefixState,
+        order: &[DeviceId],
+        net: &SimNet,
+        bit_peer: &[Vec<u32>],
+    ) -> bool {
+        self.ids.clear();
+        for &d in order {
+            let du = d.0 as usize;
+            let parent = if st.best[du] == 0 {
+                Self::NO_PATH
+            } else {
+                self.pid[st.parent[du] as usize]
+            };
+            let key = u64::from(net.asn[du].0) << 32 | u64::from(parent);
+            let next = self.ids.len() as u32;
+            self.pid[du] = *self.ids.entry(key).or_insert(next);
+            if st.best[du] == 0 {
+                continue;
+            }
+            let words = &st.hops[net.span(du)];
+            if popcount(words) <= 1 {
+                continue;
+            }
+            let mut senders = set_bits(words).map(|b| self.pid[bit_peer[du][b] as usize]);
+            let first = senders.next();
+            if senders.any(|p| Some(p) != first) {
                 return false;
             }
         }
+        true
     }
-    true
 }
 
 #[cfg(test)]
@@ -975,7 +905,7 @@ mod tests {
     use super::*;
     use crate::simulate;
     use dctopo::generator::{build_clos, figure3, ClosParams};
-    use dctopo::Role;
+    use dctopo::{Asn, Role};
 
     /// A config exercising every override the simulator honors.
     fn faulted_config(f: &dctopo::generator::Figure3) -> SimConfig {
@@ -1132,6 +1062,136 @@ mod tests {
                 &FaultSpec::devices([d.id]),
                 &format!("device {}", d.name),
             );
+        }
+    }
+
+    /// The AS-path sequence device `from` advertises, via parent walk.
+    fn path_seq(st: &PrefixState, asn: &[Asn], mut from: u32, out: &mut Vec<Asn>) {
+        out.clear();
+        loop {
+            out.push(asn[from as usize]);
+            if st.best[from as usize] == 0 {
+                return;
+            }
+            from = st.parent[from as usize];
+        }
+    }
+
+    /// The parent-walk tie-break check that path ids replaced, kept as
+    /// their oracle: every multi-sender device's senders must walk to
+    /// one AS-path sequence.
+    fn tie_break_free_walk(st: &PrefixState, net: &SimNet, bit_peer: &[Vec<u32>]) -> bool {
+        let mut first = Vec::new();
+        let mut other = Vec::new();
+        for (ru, &b) in st.best.iter().enumerate() {
+            if b == 0 || b == INF {
+                continue;
+            }
+            let senders: Vec<u32> = set_bits(&st.hops[net.span(ru)])
+                .map(|bit| bit_peer[ru][bit])
+                .collect();
+            if senders.len() <= 1 {
+                continue;
+            }
+            path_seq(st, &net.asn, senders[0], &mut first);
+            for &s in &senders[1..] {
+                path_seq(st, &net.asn, s, &mut other);
+                if first != other {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Path-id tie-break-freedom must agree with the walk on every
+    /// prefix. Returns how many prefixes are not tie-break-free.
+    fn assert_path_ids_match_walk(topology: &Topology, config: &SimConfig) -> usize {
+        let base = Baseline::converge(topology, config);
+        let bit_peer = bit_peers(topology, &base.net);
+        let mut tied = 0;
+        for (st, (prefix, _)) in base.states.iter().zip(&base.work) {
+            assert_eq!(
+                st.tie_free,
+                tie_break_free_walk(st, &base.net, &bit_peer),
+                "prefix {prefix}"
+            );
+            tied += usize::from(!st.tie_free);
+        }
+        tied
+    }
+
+    #[test]
+    fn path_ids_match_walk_on_faulted_figure3() {
+        let mut f = figure3();
+        assert_eq!(
+            assert_path_ids_match_walk(&f.topology, &SimConfig::healthy()),
+            0
+        );
+        let config = faulted_config(&f);
+        assert!(
+            assert_path_ids_match_walk(&f.topology, &config) > 0,
+            "the ASN collision must leave some prefix not tie-break-free"
+        );
+        // The paper's four link failures on top of the faulted config.
+        for (tor, leaves) in [(f.tors[0], [f.a[2], f.a[3]]), (f.tors[1], [f.a[0], f.a[1]])] {
+            for leaf in leaves {
+                let l = f.topology.link_between(tor, leaf).unwrap().id;
+                f.topology.set_link_state(l, LinkState::OperDown);
+            }
+        }
+        assert_path_ids_match_walk(&f.topology, &config);
+    }
+
+    #[test]
+    fn path_ids_match_walk_under_asn_collisions_on_clos() {
+        let t = build_clos(&ClosParams::default());
+        let leaves: Vec<&dctopo::Device> = t.devices_with_role(Role::Leaf).collect();
+        let spines: Vec<&dctopo::Device> = t.devices_with_role(Role::Spine).collect();
+        let c0 = leaves[0].cluster;
+        let other = leaves.iter().find(|d| d.cluster != c0).unwrap().cluster;
+        // One cluster's leaves take another cluster's leaf ASN, and one
+        // spine takes a leaf ASN.
+        let mut config = SimConfig::healthy();
+        for d in leaves.iter().filter(|d| d.cluster == other) {
+            config = config.with_asn_override(d.id, leaves[0].asn);
+        }
+        config = config.with_asn_override(spines[0].id, leaves[0].asn);
+        assert!(assert_path_ids_match_walk(&t, &config) > 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn path_ids_match_walk_on_random_clos(
+            shape in (1u32..=3, 1u32..=3, 1u32..=3, 1u32..=2, 1u32..=2),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let (clusters, tors, leaves, per_plane, regionals) = shape;
+            let mut t = build_clos(&ClosParams {
+                clusters,
+                tors_per_cluster: tors,
+                leaves_per_cluster: leaves,
+                spines: leaves * per_plane,
+                regional_spines: regionals,
+                regional_groups: 1,
+                prefixes_per_tor: 1,
+            });
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = t.len() as u32;
+            let links = t.links().len() as u32;
+            for _ in 0..rng.gen_range(0..=3) {
+                t.set_link_state(LinkId(rng.gen_range(0..links)), LinkState::OperDown);
+            }
+            let mut config = SimConfig::healthy();
+            for _ in 0..rng.gen_range(0..=3) {
+                let (a, b) = (DeviceId(rng.gen_range(0..n)), DeviceId(rng.gen_range(0..n)));
+                config = config.with_asn_override(a, t.device(b).asn);
+            }
+            assert_path_ids_match_walk(&t, &config);
         }
     }
 

@@ -19,7 +19,7 @@
 use crate::config::SimConfig;
 use crate::fib::{Fib, FibBuilder};
 use dctopo::{Asn, DeviceId, Role, Topology};
-use netprim::{HopSet, Ipv4, Prefix};
+use netprim::{Ipv4, Prefix};
 
 /// The default route prefix originated by the regional spines.
 pub fn default_prefix() -> Prefix {
@@ -40,20 +40,11 @@ pub struct SimOptions {
     /// chunked across workers; `1` runs the serial loop. The result is
     /// bit-identical at any thread count.
     pub threads: usize,
-    /// Force the legacy `Vec<Ipv4>` hop accumulation instead of the
-    /// [`HopSet`] bitset path. This is also the automatic fallback
-    /// when a device's neighbor table exceeds [`HopSet::CAPACITY`];
-    /// it stays public as the pre-change baseline for the E17 bench
-    /// and the equivalence tests.
-    pub legacy_hops: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> SimOptions {
-        SimOptions {
-            threads: 1,
-            legacy_hops: false,
-        }
+        SimOptions { threads: 1 }
     }
 }
 
@@ -79,24 +70,24 @@ impl SimOptions {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or(detected);
-        SimOptions {
-            threads,
-            ..SimOptions::default()
-        }
+        SimOptions { threads }
     }
 }
 
 /// Deterministic work counters for one simulation run: identical for
-/// any [`SimOptions`] (threading and hop representation change neither
-/// the relaxation schedule per prefix nor its fixed point).
+/// any [`SimOptions`] (threading changes neither the relaxation
+/// schedule per prefix nor its fixed point).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Prefixes converged (hosted prefixes + the default route).
     pub prefixes: usize,
     /// BFS levels processed across all prefixes (per-prefix iteration
-    /// counts, summed).
+    /// counts, summed). A prefix stops at the first level that starts
+    /// with every device that has a session already reached, so levels
+    /// that could not change its state are not counted.
     pub rounds: u64,
-    /// Session relaxations attempted across all prefixes.
+    /// Session relaxations attempted across all prefixes, in the
+    /// levels processed only.
     pub relaxations: u64,
 }
 
@@ -106,24 +97,6 @@ impl SimStats {
         self.rounds += other.rounds;
         self.relaxations += other.relaxations;
     }
-}
-
-/// Per-prefix hop accumulation: the legacy unordered `Vec` per device,
-/// or a [`HopSet`] bit mask over the device's sorted neighbor table.
-/// The bitset makes the ECMP-extend step a branch-free bit set instead
-/// of a linear `contains` scan, and materializes born-sorted vectors
-/// at emit (no per-entry sort + dedup in the FIB interner).
-pub(crate) enum Hops {
-    Vecs(Vec<Vec<Ipv4>>),
-    Bits {
-        /// Per-device hop bitset over its neighbor-address table.
-        bits: Vec<HopSet>,
-        /// Vec fallback for devices whose neighbor table exceeds
-        /// [`HopSet::CAPACITY`] (large spines in the 10⁴-router
-        /// shapes). Selected per *receiver* via `SimNet::fits`, so one
-        /// fat device never forces the whole fabric off the fast path.
-        spill: Vec<Vec<Ipv4>>,
-    },
 }
 
 /// Scratch state reused across prefixes.
@@ -138,8 +111,14 @@ pub(crate) struct Relaxation {
     /// is needed: the signature is only read for senders, and a sender
     /// was always (re)written during the current prefix's relaxation.
     path_asns: Vec<u64>,
-    pub(crate) hops: Hops,
-    touched: Vec<DeviceId>,
+    /// Per-device hop masks over each device's sorted neighbor table,
+    /// flat in [`SimNet::word_off`] layout: bit `i` of a device's words
+    /// is its neighbor address `addr_table[d][i]`. A ToR with 8
+    /// neighbors carries one word.
+    pub(crate) hops: Vec<u64>,
+    /// Reached devices in discovery order: distances never decrease
+    /// along it, so every device comes after its BFS parent.
+    pub(crate) touched: Vec<DeviceId>,
     buckets: Vec<Vec<DeviceId>>,
 }
 
@@ -150,29 +129,23 @@ fn asn_bit(a: Asn) -> u64 {
 }
 
 impl Relaxation {
-    pub(crate) fn new(n: usize, bitset: bool) -> Self {
+    pub(crate) fn new(net: &SimNet) -> Self {
+        let n = net.asn.len();
         Relaxation {
             best: vec![INF; n],
             parent: vec![DeviceId(0); n],
             path_asns: vec![0; n],
-            hops: if bitset {
-                Hops::Bits {
-                    bits: vec![HopSet::new(); n],
-                    spill: vec![Vec::new(); n],
-                }
-            } else {
-                Hops::Vecs(vec![Vec::new(); n])
-            },
+            hops: vec![0; net.words()],
             touched: Vec::new(),
             buckets: vec![Vec::new(); MAX_LEN],
         }
     }
 
     pub(crate) fn reset(&mut self) {
-        // Only `best` needs restoring: hop sets are written before they
-        // are read. A non-origin device enters a prefix with
+        // Only `best` needs restoring: hop masks are written before
+        // they are read. A non-origin device enters a prefix with
         // `best == INF`, so its first relaxation takes the improvement
-        // branch, which clears the hop set itself — and emit never
+        // branch, which clears the hop mask itself — and emit never
         // reads hops for origins (`len == 0`) or unreached devices.
         for &d in &self.touched {
             self.best[d.0 as usize] = INF;
@@ -184,6 +157,68 @@ impl Relaxation {
     }
 }
 
+/// Population count of a hop mask.
+#[inline]
+pub(crate) fn popcount(words: &[u64]) -> u32 {
+    words.iter().map(|w| w.count_ones()).sum()
+}
+
+/// Hop-mask equality. An inlined word loop: masks are one or two
+/// words, where a `memcmp` call per (device, prefix) pair would cost
+/// more than the compare.
+#[inline]
+pub(crate) fn words_eq(a: &[u64], b: &[u64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
+}
+
+/// Keep only the `cap` lowest set bits of a hop mask. Bit order is
+/// address order, so this keeps the `cap` smallest next hops — the
+/// RIB→FIB truncation of a sorted ECMP set.
+fn truncate_words(words: &mut [u64], cap: u32) {
+    let mut keep = cap;
+    for w in words {
+        let c = w.count_ones();
+        if c <= keep {
+            keep -= c;
+            continue;
+        }
+        let mut rest = *w;
+        let mut kept = 0u64;
+        for _ in 0..keep {
+            let low = rest & rest.wrapping_neg();
+            kept |= low;
+            rest ^= low;
+        }
+        *w = kept;
+        keep = 0;
+    }
+}
+
+/// The set bits of a hop mask, ascending.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                wi * 64 + bit
+            })
+        })
+    })
+}
+
+/// The next hops a hop mask stands for: `table[i]` for each set bit
+/// `i` not listed in `removed`, ascending, at most `cap` of them. The
+/// table is sorted, so the vector is born canonical.
+pub(crate) fn hop_addrs(words: &[u64], table: &[Ipv4], removed: &[u16], cap: u32) -> Vec<Ipv4> {
+    set_bits(words)
+        .filter(|&bit| !removed.contains(&(bit as u16)))
+        .take(cap as usize)
+        .map(|bit| table[bit])
+        .collect()
+}
+
 /// A device's forwarding state for one prefix, encoded as a run code:
 /// absent (no route), a local/origin entry, or an interned hop-set id.
 /// Set ids stay below the flag bits.
@@ -192,15 +227,15 @@ const RUN_LOCAL: u32 = 1 << 31;
 
 /// Run-length-encoded emit state. A device's FIB over the chunk's
 /// prefix sequence is long stretches of one state (a ToR forwards every
-/// remote /24 over the same leaf ECMP set), so the bitset emit path
-/// records only state *changes* — a handful of runs per device — and
-/// expands them into entries per device afterwards. The per-(prefix,
-/// device) work drops to a sequential mask compare, and the entry
-/// writes become per-device streaming appends instead of 10⁴ scattered
-/// pushes per prefix. Expansion replays the exact per-prefix push
-/// sequence, interned pool layout included, because a set id is
-/// interned at its run's start — the same first-use moment at which
-/// per-prefix pushes would have interned it.
+/// remote /24 over the same leaf ECMP set), so the emit path records
+/// only state *changes* — a handful of runs per device — and expands
+/// them into entries per device afterwards. The per-(prefix, device)
+/// work drops to a sequential mask compare, and the entry writes become
+/// per-device streaming appends instead of 10⁴ scattered pushes per
+/// prefix. Expansion replays the exact per-prefix push sequence,
+/// interned pool layout included, because a set is interned at its
+/// run's start — the same first-use moment at which per-prefix pushes
+/// would have interned it.
 pub(crate) struct EmitRle {
     /// Per device: (chunk-local prefix index where the run starts, run
     /// code). A run ends where the next begins, or at the chunk's end.
@@ -208,40 +243,62 @@ pub(crate) struct EmitRle {
     runs: Vec<Vec<(u32, u32)>>,
     /// Per device: the current (latest) run's code.
     last_code: Vec<u32>,
-    /// Per device: the current run's hop mask, valid when `last_code`
-    /// is a set id (post-truncation, so cap changes break runs).
-    mask: Vec<HopSet>,
+    /// Per device, in [`SimNet::word_off`] layout: the current run's
+    /// hop mask, valid when `last_code` is a set id (post-truncation,
+    /// so cap changes break runs).
+    mask: Vec<u64>,
+    /// Truncation scratch for capped devices.
+    capped: Vec<u64>,
 }
 
 impl EmitRle {
-    pub(crate) fn new(n: usize) -> EmitRle {
+    pub(crate) fn new(net: &SimNet) -> EmitRle {
+        let n = net.asn.len();
         EmitRle {
             runs: vec![Vec::new(); n],
             last_code: vec![RUN_ABSENT; n],
-            mask: vec![HopSet::new(); n],
+            mask: vec![0; net.words()],
+            capped: Vec::new(),
         }
     }
 }
 
+/// [`SimNet::recv`] flag: the receiver applies BGP loop prevention
+/// (it is not a ToR with allowas-in).
+const LOOP_CHECK: u8 = 1;
+/// [`SimNet::recv`] flag: the receiver rejects the default route on
+/// import (§2.6.2).
+const REJECT_DEFAULT: u8 = 2;
+/// [`SimNet::recv`] flag: the receiver's hop mask spans several words.
+const MULTI_WORD: u8 = 4;
+
 /// Precomputed, immutable per-run state shared by every worker.
 pub(crate) struct SimNet {
     pub(crate) asn: Vec<Asn>,
-    allowas_in: Vec<bool>,
+    /// Per device: its import behavior as a receiver, as
+    /// `LOOP_CHECK | REJECT_DEFAULT | MULTI_WORD` flags — one byte the
+    /// relaxation loads per accepted candidate.
+    recv: Vec<u8>,
     /// Session adjacency in CSR form: device `d`'s sessions are
-    /// `sess[sess_off[d]..sess_off[d + 1]]`, each `(peer, peer_bit)` —
-    /// the receiving device and the rank of this device's interface
-    /// address in the receiver's sorted neighbor table. The next-hop
-    /// address the receiver programs is `addr_table[peer][peer_bit]`,
-    /// so 8 bytes carry the whole relaxation: the propagate loop scans
-    /// ~10⁵ sessions per prefix and is bound by this stream's width.
+    /// `sess[sess_off[d]..sess_off[d + 1]]`, each `(peer, bit)` — the
+    /// receiving device and the global index, in the flat hop-word
+    /// layout, of the bit for this device's interface address in the
+    /// receiver's sorted neighbor table. 8 bytes carry the whole
+    /// relaxation: the propagate loop scans ~10⁵ sessions per prefix
+    /// and is bound by this stream's width.
     sess_off: Vec<u32>,
     sess: Vec<(u32, u32)>,
+    /// Devices with at least one session. Sessions are symmetric, so
+    /// no other device is ever a peer: once this many are reached, no
+    /// relaxation can change the prefix's state.
+    linked: u32,
     /// Per device: its neighbors' interface addresses, ascending — the
-    /// bit↔address mapping of the bitset hop mode.
+    /// bit↔address mapping of the hop masks.
     pub(crate) addr_table: Vec<Vec<Ipv4>>,
-    /// Per device: its neighbor table fits a [`HopSet`] (bitset hop
-    /// mode); devices over capacity use the Vec spill path instead.
-    pub(crate) fits: Vec<bool>,
+    /// Per device: the offset of its hop words in a flat word array;
+    /// device `d` owns `ceil(degree / 64)` words, from `word_off[d]` to
+    /// `word_off[d + 1]`.
+    word_off: Vec<u32>,
     /// Per device: ECMP width cap for specific routes (`u32::MAX` when
     /// unbounded). Emit runs once per (device, prefix) pair, so the
     /// config override lookup is hoisted out of that loop.
@@ -249,8 +306,6 @@ pub(crate) struct SimNet {
     /// Per device: ECMP width cap for the default route — the specific
     /// cap further limited by the RIB→FIB default-hop truncation bug.
     pub(crate) default_cap: Vec<u32>,
-    /// Per device: the default-route import rejection override.
-    reject_default: Vec<bool>,
 }
 
 impl SimNet {
@@ -261,8 +316,9 @@ impl SimNet {
     /// [`SimNet::build`] with an extra set of links excluded from the
     /// session graph — the fault-injection surface of the restart API.
     /// Only sessions are filtered: the neighbor-address table (and with
-    /// it the bit↔address mapping) still covers every physical link, so
-    /// hop masks computed against the healthy table stay valid.
+    /// it the bit↔address mapping and the word layout) still covers
+    /// every physical link, so hop masks computed against the healthy
+    /// table stay valid.
     pub(crate) fn build_filtered(
         topology: &Topology,
         config: &SimConfig,
@@ -297,10 +353,11 @@ impl SimNet {
         for t in &mut addr_table {
             t.sort_unstable();
         }
-        let fits: Vec<bool> = addr_table
-            .iter()
-            .map(|t| t.len() <= HopSet::CAPACITY)
-            .collect();
+        let mut word_off = Vec::with_capacity(n + 1);
+        word_off.push(0u32);
+        for t in &addr_table {
+            word_off.push(word_off[word_off.len() - 1] + t.len().div_ceil(64) as u32);
+        }
         // Session adjacency over healthy links between non-L2-bugged
         // devices, flattened to CSR (per-device order is link order,
         // which fixes ECMP insertion order and BFS tie-breaks).
@@ -313,9 +370,11 @@ impl SimNet {
                 continue;
             }
             let bit = |peer: DeviceId, addr: Ipv4| {
-                addr_table[peer.0 as usize]
+                let p = peer.0 as usize;
+                let local = addr_table[p]
                     .binary_search(&addr)
-                    .expect("session address is in the peer's table") as u32
+                    .expect("session address is in the peer's table");
+                word_off[p] * 64 + local as u32
             };
             per_dev[l.lo.0 as usize].push((l.hi.0, bit(l.hi, l.lo_addr)));
             per_dev[l.hi.0 as usize].push((l.lo.0, bit(l.lo, l.hi_addr)));
@@ -327,10 +386,16 @@ impl SimNet {
             sess.extend_from_slice(d);
             sess_off.push(sess.len() as u32);
         }
-        let allowas_in: Vec<bool> = topology
+        let linked = per_dev.iter().filter(|d| !d.is_empty()).count() as u32;
+        // ToRs accept their own ASN (allowas-in); nobody else does.
+        let mut recv: Vec<u8> = topology
             .devices()
             .iter()
-            .map(|d| d.role == Role::Tor)
+            .map(|d| {
+                let du = d.id.0 as usize;
+                let multi = word_off[du + 1] - word_off[du] > 1;
+                u8::from(d.role != Role::Tor) * LOOP_CHECK + u8::from(multi) * MULTI_WORD
+            })
             .collect();
         // Truncation caps and import overrides, hoisted out of the
         // per-(device, prefix) emit/relax loops. `m.max(1)` mirrors the
@@ -340,26 +405,38 @@ impl SimNet {
         };
         let mut ecmp_cap = vec![u32::MAX; n];
         let mut default_cap = vec![u32::MAX; n];
-        let mut reject_default = vec![false; n];
         for d in topology.devices() {
             if let Some(o) = config.device(d.id) {
                 let du = d.id.0 as usize;
                 ecmp_cap[du] = cap(o.max_ecmp);
                 default_cap[du] = ecmp_cap[du].min(cap(o.rib_fib_default_hops));
-                reject_default[du] = o.reject_default_import;
+                if o.reject_default_import {
+                    recv[du] |= REJECT_DEFAULT;
+                }
             }
         }
         SimNet {
             asn,
-            allowas_in,
+            recv,
             sess_off,
             sess,
+            linked,
             addr_table,
-            fits,
+            word_off,
             ecmp_cap,
             default_cap,
-            reject_default,
         }
+    }
+
+    /// Length of a flat hop-word array covering every device.
+    pub(crate) fn words(&self) -> usize {
+        self.word_off[self.word_off.len() - 1] as usize
+    }
+
+    /// Device `d`'s word range in a flat hop-word array.
+    #[inline]
+    pub(crate) fn span(&self, d: usize) -> std::ops::Range<usize> {
+        self.word_off[d] as usize..self.word_off[d + 1] as usize
     }
 }
 
@@ -369,30 +446,24 @@ pub fn simulate(topology: &Topology, config: &SimConfig) -> Vec<Fib> {
     simulate_with(topology, config, SimOptions::default()).0
 }
 
-/// [`simulate`] with explicit threading / hop-representation options,
-/// also returning the run's deterministic work counters.
+/// [`simulate`] with explicit threading options, also returning the
+/// run's deterministic work counters.
 pub fn simulate_with(
     topology: &Topology,
     config: &SimConfig,
     opts: SimOptions,
 ) -> (Vec<Fib>, SimStats) {
-    let n = topology.len();
     let net = SimNet::build(topology, config);
-    let bitset = !opts.legacy_hops;
     let work = work_list(topology);
 
-    let fresh_builders = || -> Vec<FibBuilder> {
-        topology
+    let run_chunk = |chunk: &[(Prefix, Vec<DeviceId>)]| -> (Vec<FibBuilder>, SimStats) {
+        let mut builders: Vec<FibBuilder> = topology
             .devices()
             .iter()
             .map(|d| FibBuilder::new(d.id))
-            .collect()
-    };
-
-    let run_chunk = |chunk: &[(Prefix, Vec<DeviceId>)]| -> (Vec<FibBuilder>, SimStats) {
-        let mut builders = fresh_builders();
-        let mut relax = Relaxation::new(n, bitset);
-        let mut rle = EmitRle::new(n);
+            .collect();
+        let mut relax = Relaxation::new(&net);
+        let mut rle = EmitRle::new(&net);
         let mut stats = SimStats {
             prefixes: chunk.len(),
             ..SimStats::default()
@@ -400,16 +471,10 @@ pub fn simulate_with(
         for (k, (prefix, origins)) in chunk.iter().enumerate() {
             relax.reset();
             propagate(&net, &mut relax, *prefix, origins, &mut stats);
-            if bitset {
-                emit_runs(&net, &relax, k as u32, *prefix, &mut rle, &mut builders);
-            } else {
-                emit_vecs(&net, &relax, *prefix, &mut builders);
-            }
+            emit_runs(&net, &relax, k as u32, *prefix, &mut rle, &mut builders);
         }
-        if bitset {
-            let prefixes: Vec<Prefix> = chunk.iter().map(|(p, _)| *p).collect();
-            expand_runs(&rle, &prefixes, &mut builders);
-        }
+        let prefixes: Vec<Prefix> = chunk.iter().map(|(p, _)| *p).collect();
+        expand_runs(&rle, &prefixes, &mut builders);
         (builders, stats)
     };
 
@@ -495,138 +560,100 @@ pub(crate) fn propagate(
     stats: &mut SimStats,
 ) {
     let is_default = prefix.is_default();
+    // Reached devices that have a session (every non-origin qualifies:
+    // it was reached over one, and sessions are symmetric).
+    let mut reached = 0u32;
     for &o in origins {
         // An origin with the L2 bug still "hosts" the prefix but cannot
         // announce it (no sessions) — handled naturally since its
         // session list is empty.
-        relax.best[o.0 as usize] = 0;
-        relax.path_asns[o.0 as usize] = asn_bit(net.asn[o.0 as usize]);
+        let ou = o.0 as usize;
+        if relax.best[ou] != 0 && net.sess_off[ou + 1] > net.sess_off[ou] {
+            reached += 1;
+        }
+        relax.best[ou] = 0;
+        relax.path_asns[ou] = asn_bit(net.asn[ou]);
         relax.touched.push(o);
         relax.buckets[0].push(o);
     }
 
     for level in 0..MAX_LEN - 1 {
+        // Exact early stop. At the start of level L every device is
+        // final at distance ≤ L or unreached, since distance L + 1 is
+        // only assigned while level L runs. Once every device with a
+        // session is reached, each relaxation left offers a distance
+        // (≥ L + 1) longer than its receiver's, so nothing can change.
+        if reached == net.linked {
+            break;
+        }
         if relax.buckets[level].is_empty() {
             continue;
         }
         stats.rounds += 1;
-        let senders = std::mem::take(&mut relax.buckets[level]);
-        for d in senders {
+        let mut senders = std::mem::take(&mut relax.buckets[level]);
+        let nl = level as u8 + 1;
+        for &d in &senders {
             let du = d.0 as usize;
             if relax.best[du] != level as u8 {
                 continue; // stale entry; improved earlier
             }
             let sess = &net.sess[net.sess_off[du] as usize..net.sess_off[du + 1] as usize];
+            stats.relaxations += sess.len() as u64;
+            let signature = relax.path_asns[du];
             for &(peer, bit) in sess {
-                stats.relaxations += 1;
                 let nu = peer as usize;
-                let nl = level as u8 + 1;
                 let cur = relax.best[nu];
+                // Also the self-announcement guard: an origin (distance
+                // 0) never reimports.
                 if nl > cur {
                     continue;
                 }
-                // Import policy: default-route rejection (§2.6.2).
-                if is_default && net.reject_default[nu] {
-                    continue;
+                let flags = net.recv[nu];
+                if flags & (REJECT_DEFAULT | LOOP_CHECK) != 0 {
+                    // Import policy: default-route rejection (§2.6.2).
+                    if is_default && flags & REJECT_DEFAULT != 0 {
+                        continue;
+                    }
+                    // BGP loop prevention on the receiver. The Bloom
+                    // signature proves most accepted paths clean
+                    // without walking the parent chain.
+                    if flags & LOOP_CHECK != 0
+                        && signature & asn_bit(net.asn[nu]) != 0
+                        && path_contains(relax, &net.asn, d, net.asn[nu])
+                    {
+                        continue;
+                    }
                 }
-                // BGP loop prevention on the receiver, unless
-                // allowas-in. The Bloom signature proves most accepted
-                // paths clean without walking the parent chain.
-                if !net.allowas_in[nu]
-                    && relax.path_asns[du] & asn_bit(net.asn[nu]) != 0
-                    && path_contains(relax, &net.asn, d, net.asn[nu])
-                {
-                    continue;
-                }
-                // Self-announcement guard: an origin never reimports.
-                if relax.best[nu] == 0 {
-                    continue;
-                }
+                let (word, mask) = (bit as usize / 64, 1u64 << (bit % 64));
                 if nl < cur {
                     if cur == INF {
                         relax.touched.push(DeviceId(peer));
+                        reached += 1;
                     }
                     relax.best[nu] = nl;
                     relax.parent[nu] = d;
-                    relax.path_asns[nu] = relax.path_asns[du] | asn_bit(net.asn[nu]);
-                    match &mut relax.hops {
-                        Hops::Vecs(v) => {
-                            v[nu].clear();
-                            v[nu].push(net.addr_table[nu][bit as usize]);
-                        }
-                        Hops::Bits { bits, spill } => {
-                            if net.fits[nu] {
-                                bits[nu].clear();
-                                bits[nu].insert(bit as u16);
-                            } else {
-                                spill[nu].clear();
-                                spill[nu].push(net.addr_table[nu][bit as usize]);
-                            }
-                        }
+                    relax.path_asns[nu] = signature | asn_bit(net.asn[nu]);
+                    // A one-word mask is overwritten whole; wider ones
+                    // are cleared first.
+                    if flags & MULTI_WORD != 0 {
+                        relax.hops[net.span(nu)].fill(0);
                     }
+                    relax.hops[word] = mask;
                     relax.buckets[nl as usize].push(DeviceId(peer));
                 } else {
-                    // Equal length: extend the ECMP set. The bitset
-                    // insert is idempotent — the branch-free form of
-                    // the legacy `contains` scan.
-                    match &mut relax.hops {
-                        Hops::Vecs(v) => {
-                            let hops = &mut v[nu];
-                            let addr = net.addr_table[nu][bit as usize];
-                            if !hops.contains(&addr) {
-                                hops.push(addr);
-                            }
-                        }
-                        Hops::Bits { bits, spill } => {
-                            if net.fits[nu] {
-                                bits[nu].insert(bit as u16);
-                            } else {
-                                let hops = &mut spill[nu];
-                                let addr = net.addr_table[nu][bit as usize];
-                                if !hops.contains(&addr) {
-                                    hops.push(addr);
-                                }
-                            }
-                        }
-                    }
+                    // Equal length: extend the ECMP set (idempotent).
+                    relax.hops[word] |= mask;
                 }
             }
         }
+        // Hand the bucket's allocation back for the next prefix.
+        senders.clear();
+        relax.buckets[level] = senders;
     }
 }
 
-/// Per-prefix emit for legacy `Hops::Vecs` mode: one push per reached
-/// device, exactly as the frozen reference simulator does it.
-fn emit_vecs(net: &SimNet, relax: &Relaxation, prefix: Prefix, builders: &mut [FibBuilder]) {
-    let caps = if prefix.is_default() {
-        &net.default_cap
-    } else {
-        &net.ecmp_cap
-    };
-    let Hops::Vecs(v) = &relax.hops else {
-        unreachable!("emit_vecs requires Vec hop mode")
-    };
-    for du in 0..relax.best.len() {
-        let len = relax.best[du];
-        if len == INF {
-            continue;
-        }
-        if len == 0 {
-            // Origin: ToRs install their hosted prefix as local.
-            // Regional spines originate the default (modeled as local
-            // too: it points out of the datacenter).
-            builders[du].push(prefix, Vec::new(), true);
-            continue;
-        }
-        let mut hops = v[du].clone();
-        hops.sort_unstable();
-        hops.truncate(caps[du] as usize);
-        builders[du].push(prefix, hops, false);
-    }
-}
-
-/// Per-prefix emit for bitset mode: extend or break each device's
-/// current run (see [`EmitRle`]). `k` is the chunk-local prefix index.
+/// Per-prefix emit: extend or break each device's current run (see
+/// [`EmitRle`]). `k` is the chunk-local prefix index.
 ///
 /// Devices are scanned in id order rather than BFS-touch order: the
 /// reached set is nearly every device, and ascending ids make every
@@ -645,9 +672,6 @@ pub(crate) fn emit_runs(
         &net.default_cap
     } else {
         &net.ecmp_cap
-    };
-    let Hops::Bits { bits, spill } = &relax.hops else {
-        unreachable!("emit_runs requires bitset hop mode")
     };
     for du in 0..relax.best.len() {
         let len = relax.best[du];
@@ -672,45 +696,29 @@ pub(crate) fn emit_runs(
             rle.last_code[du] = code;
             continue;
         }
+        let span = net.span(du);
+        let words = &relax.hops[span.clone()];
+        // Truncating to the `cap` lowest bits keeps the `cap` smallest
+        // addresses — a sort + truncate of the address vector. Uncapped
+        // devices (the overwhelming majority) skip the popcount.
         let cap = caps[du];
-        if !net.fits[du] {
-            // Over-capacity device: the spill Vec holds its hops,
-            // interned like legacy Vec mode every prefix. The interner
-            // canonicalizes, so an id repeat is a state repeat.
-            let mut hops = spill[du].clone();
-            hops.sort_unstable();
-            hops.truncate(cap as usize);
-            let id = builders[du].intern(hops);
-            if rle.last_code[du] != id {
-                rle.runs[du].push((k, id));
-                rle.last_code[du] = id;
-            }
-            continue;
-        }
-        // Bit order is address order, so truncating to the k lowest
-        // bits keeps the k smallest addresses — exactly the legacy
-        // sort + truncate. Uncapped devices (the overwhelming
-        // majority) skip the popcount and the 64-byte copy entirely.
-        let stored;
-        let mask: &HopSet = if cap != u32::MAX && cap < bits[du].len() {
-            stored = {
-                let mut c = bits[du];
-                c.truncate(cap);
-                c
-            };
-            &stored
+        let mask: &[u64] = if cap != u32::MAX && cap < popcount(words) {
+            rle.capped.clear();
+            rle.capped.extend_from_slice(words);
+            truncate_words(&mut rle.capped, cap);
+            &rle.capped
         } else {
-            &bits[du]
+            words
         };
         // Run continues only while the device stays in a plain-set
-        // state with an identical post-truncation mask; `mask[du]` is
-        // stale after a local/absent interlude, and `last_code`'s flag
-        // bits reject exactly those cases.
-        if rle.last_code[du] < RUN_LOCAL && rle.mask[du] == *mask {
+        // state with an identical post-truncation mask; the stored
+        // mask is stale after a local/absent interlude, and
+        // `last_code`'s flag bits reject exactly those cases.
+        if rle.last_code[du] < RUN_LOCAL && words_eq(&rle.mask[span.clone()], mask) {
             continue;
         }
-        let id = builders[du].intern_bits(mask, &net.addr_table[du]);
-        rle.mask[du] = *mask;
+        let id = builders[du].intern(hop_addrs(mask, &net.addr_table[du], &[], u32::MAX));
+        rle.mask[span].copy_from_slice(mask);
         rle.runs[du].push((k, id));
         rle.last_code[du] = id;
     }
@@ -1056,40 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn bitset_and_legacy_hop_paths_agree() {
-        // The HopSet accumulation must reproduce the legacy Vec path
-        // exactly — same tables, same interned pool layout, same
-        // deterministic work counters — on healthy and fully-faulted
-        // fabrics.
-        let f = figure3();
-        let medium = build_clos(&ClosParams::default());
-        let configs = [SimConfig::healthy(), faulted_config(&f)];
-        for config in &configs {
-            let (legacy, ls) = simulate_with(
-                &f.topology,
-                config,
-                SimOptions {
-                    legacy_hops: true,
-                    ..SimOptions::default()
-                },
-            );
-            let (bitset, bs) = simulate_with(&f.topology, config, SimOptions::default());
-            assert_eq!(legacy, bitset);
-            assert_eq!(ls, bs);
-        }
-        let (legacy, _) = simulate_with(
-            &medium,
-            &SimConfig::healthy(),
-            SimOptions {
-                legacy_hops: true,
-                ..SimOptions::default()
-            },
-        );
-        let (bitset, _) = simulate_with(&medium, &SimConfig::healthy(), SimOptions::default());
-        assert_eq!(legacy, bitset);
-    }
-
-    #[test]
     fn parallel_matches_serial_fixed_point() {
         // Prefix-parallel convergence must be bit-identical to the
         // serial loop — same final FIBs (interned pools included) and
@@ -1105,14 +1079,8 @@ mod tests {
             let (serial, serial_stats) = simulate_with(topo, &config, SimOptions::default());
             assert!(serial_stats.rounds > 0 && serial_stats.relaxations > 0);
             for threads in [2, 3, 8] {
-                let (parallel, parallel_stats) = simulate_with(
-                    topo,
-                    &config,
-                    SimOptions {
-                        threads,
-                        ..SimOptions::default()
-                    },
-                );
+                let (parallel, parallel_stats) =
+                    simulate_with(topo, &config, SimOptions { threads });
                 assert_eq!(serial, parallel, "threads={threads}");
                 assert_eq!(serial_stats, parallel_stats, "threads={threads}");
             }
@@ -1138,8 +1106,6 @@ mod tests {
         assert_eq!(fixed("lots").threads, detected);
         assert_eq!(fixed("0").threads, detected);
         assert_eq!(fixed("").threads, detected);
-        // auto() never flips the hop representation.
-        assert!(!SimOptions::auto().legacy_hops);
     }
 
     #[test]

@@ -315,12 +315,10 @@ mod tests {
         );
     }
 
-    /// A fabric where one layer's devices have more neighbors than a
-    /// `HopSet` can index: a single fat leaf seeing 256 ToRs plus 260
-    /// spines = 516 sessions > 512 bits. That device must take the
-    /// per-device Vec spill path — and still match the baseline bit
-    /// for bit — without dragging the rest of the fabric off the
-    /// bitset fast path.
+    /// A fabric with one very wide device: a single fat leaf seeing
+    /// 256 ToRs plus 260 spines = 516 sessions, so its hop mask spans
+    /// nine words. The tables must still match the baseline bit for
+    /// bit.
     #[test]
     fn over_capacity_device_spills_and_matches_baseline() {
         let params = ClosParams {

@@ -1,8 +1,10 @@
 //! Property-based tests for the BGP simulator: structural invariants
 //! that must hold for every generated topology and fault set.
 
-use bgpsim::{simulate, SimConfig};
-use dctopo::{build_clos, ClosParams, LinkId, LinkState, MetadataService, Role};
+use bgpsim::{simulate, simulate_with, Baseline, SimConfig, SimOptions};
+use dctopo::{
+    build_clos, ClosParams, DeviceId, LinkId, LinkState, MetadataService, Role, Topology,
+};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = ClosParams> {
@@ -19,8 +21,59 @@ fn arb_params() -> impl Strategy<Value = ClosParams> {
     )
 }
 
+/// A faulted copy of the fabric: a few `OperDown` links, and a few
+/// devices with a random §2.6.2 override each — RIB→FIB default loss,
+/// layer-2 port bug, default-route rejection, ECMP truncation, or an
+/// ASN collision with another random device.
+fn faulted(params: &ClosParams, seed: u64) -> (Topology, SimConfig) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut topology = build_clos(params);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_links = topology.links().len() as u32;
+    for _ in 0..rng.gen_range(0..=4) {
+        topology.set_link_state(LinkId(rng.gen_range(0..n_links)), LinkState::OperDown);
+    }
+    let n = topology.len() as u32;
+    let mut config = SimConfig::healthy();
+    for _ in 0..rng.gen_range(0..=4) {
+        let d = DeviceId(rng.gen_range(0..n));
+        config = match rng.gen_range(0..5) {
+            0 => config.with_rib_fib_bug(d, rng.gen_range(1..=2)),
+            1 => config.with_l2_port_bug(d),
+            2 => config.with_default_reject(d),
+            3 => config.with_max_ecmp(d, rng.gen_range(1..=2)),
+            _ => {
+                let other = topology.device(DeviceId(rng.gen_range(0..n))).asn;
+                config.with_asn_override(d, other)
+            }
+        };
+    }
+    (topology, config)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn simulator_matches_reference_on_faulted_fabrics(
+        params in arb_params(),
+        fault_seed in any::<u64>(),
+    ) {
+        // The optimized fixed point, serial and parallel, and the
+        // restart baseline's healthy tables all equal the frozen
+        // reference simulator bit for bit, interned pools included.
+        let (topology, config) = faulted(&params, fault_seed);
+        let reference = bgpsim::sim_reference::simulate(&topology, &config);
+        let (serial, serial_stats) = simulate_with(&topology, &config, SimOptions { threads: 1 });
+        let (parallel, parallel_stats) =
+            simulate_with(&topology, &config, SimOptions { threads: 3 });
+        prop_assert_eq!(&serial, &reference);
+        prop_assert_eq!(&parallel, &reference);
+        prop_assert_eq!(serial_stats, parallel_stats);
+        let base = Baseline::converge(&topology, &config);
+        prop_assert_eq!(base.healthy_fibs(), &serial[..]);
+    }
 
     #[test]
     fn healthy_fibs_have_full_tables_and_valid_next_hops(params in arb_params()) {

@@ -8,7 +8,7 @@
 //! soundness bug in any one of them shows up as a divergence instead of
 //! a silently wrong verdict.
 //!
-//! Nine oracles, each a self-contained generator + cross-check:
+//! Ten oracles, each a self-contained generator + cross-check:
 //!
 //! * [`Oracle::Sat`] — the CDCL [`smtkit::SatSolver`] (plain, under
 //!   assumptions, and incrementally) against brute-force enumeration,
@@ -49,6 +49,11 @@
 //!   against apply-from-scratch re-simulation and cold validation,
 //!   plus brute-force audits of every prefix state of emitted plans,
 //!   unsafe-change-set minimality, and thread-count determinism.
+//! * [`Oracle::Bgpsim`] — the optimized BGP fixed point, serial and
+//!   parallel, against the frozen reference simulator on small seeded
+//!   Clos fabrics with downed links and §2.6.2 overrides, plus the
+//!   restart baseline's healthy tables and one resimulated, spliced
+//!   failure scenario against from-scratch simulation.
 //!
 //! Every failure carries the replay seed and a greedily minimized
 //! counterexample. Reproduce with
@@ -57,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bgpsim_oracle;
 mod engines;
 mod gen;
 mod incremental;
@@ -113,7 +119,7 @@ pub(crate) struct Failure {
     pub(crate) minimized: String,
 }
 
-/// The nine cross-check oracles.
+/// The ten cross-check oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oracle {
     /// CDCL SAT solver vs brute force / analytic verdicts.
@@ -136,11 +142,13 @@ pub enum Oracle {
     /// Rollout-planner state evaluation and plan verdicts vs
     /// brute-force re-simulation and cold validation.
     Rollout,
+    /// Optimized BGP simulation vs the frozen reference simulator.
+    Bgpsim,
 }
 
 impl Oracle {
     /// Every oracle, in the order the mixed runner executes them.
-    pub const ALL: [Oracle; 9] = [
+    pub const ALL: [Oracle; 10] = [
         Oracle::Sat,
         Oracle::Engines,
         Oracle::Incremental,
@@ -150,6 +158,7 @@ impl Oracle {
         Oracle::Sim,
         Oracle::Whatif,
         Oracle::Rollout,
+        Oracle::Bgpsim,
     ];
 
     /// CLI name of the oracle.
@@ -164,6 +173,7 @@ impl Oracle {
             Oracle::Sim => "sim",
             Oracle::Whatif => "whatif",
             Oracle::Rollout => "rollout",
+            Oracle::Bgpsim => "bgpsim",
         }
     }
 
@@ -186,6 +196,7 @@ impl Oracle {
             Oracle::Sim => simnet_oracle::run(sub),
             Oracle::Whatif => whatif_oracle::run(sub),
             Oracle::Rollout => rollout_oracle::run(sub),
+            Oracle::Bgpsim => bgpsim_oracle::run(sub),
         }
     }
 }
