@@ -32,12 +32,11 @@ fn churn_one(fibs: &[Fib]) -> Vec<Fib> {
     let (i, fib) = fibs
         .iter()
         .enumerate()
-        .find(|(_, f)| f.entries().iter().any(|e| !e.local && f.next_hops(e).len() > 1))
+        .find(|(_, f)| f.entries().any(|e| !e.local && f.next_hops(e).len() > 1))
         .expect("some device has a multi-hop entry");
     let target = fib
         .entries()
-        .iter()
-        .find(|e| !e.local && fib.next_hops(e).len() > 1)
+        .find(|&e| !e.local && fib.next_hops(e).len() > 1)
         .map(|e| e.prefix)
         .unwrap();
     let mut b = FibBuilder::new(fib.device());

@@ -82,7 +82,7 @@ impl SnapshotSource for ChurnSource {
 
 /// Withdraw the device's first non-local route.
 fn churned(fib: &Fib) -> Fib {
-    let target = fib.entries().iter().find(|e| !e.local).map(|e| e.prefix);
+    let target = fib.entries().find(|e| !e.local).map(|e| e.prefix);
     let mut b = FibBuilder::new(fib.device());
     for e in fib.entries() {
         if Some(e.prefix) == target {

@@ -1,16 +1,30 @@
 //! Compact forwarding information bases.
 //!
 //! A device's FIB "is a table, where each entry associates a
-//! destination prefix to a set of next hop addresses" (§2.2). FIBs in
-//! a hyperscale DC hold thousands of prefixes and next-hop sets repeat
-//! massively (every specific route on a ToR shares the same leaf set),
-//! so entries store an index into a per-FIB pool of interned next-hop
-//! sets — this is what keeps the 10⁴-router experiment within memory.
+//! destination prefix to a set of next hop addresses" (§2.2). In a
+//! hyperscale DC every device holds (nearly) every fabric prefix, and
+//! long stretches of them share one next-hop set (every remote /24 on
+//! a ToR goes to the same leaf set). A [`Fib`] therefore stores no
+//! per-entry records. It is a view over three parts:
+//!
+//! * a prefix table in canonical order (descending length, then
+//!   ascending address), `Arc`-shared by every table one simulation
+//!   produces;
+//! * maximal [`FibRun`]s over that table's indices: stretches of
+//!   consecutive table prefixes with one next-hop set and locality.
+//!   A table prefix covered by no run is absent from this FIB;
+//! * a pool of interned next-hop sets, in first-use order.
+//!
+//! The 10⁴-router sweep's 9.3 × 10⁷ entries are ~1.1 × 10⁵ runs. Tables
+//! built entry by entry ([`FibBuilder`], wire decode, delta
+//! application) get a private prefix table holding exactly their own
+//! prefixes.
 
 use dctopo::DeviceId;
 use netprim::wire::{DeltaRule, FibDelta, WireEntry, WireSnapshot};
 use netprim::{Ipv4, ParseError, Prefix};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
 /// One FIB entry: destination prefix plus interned next-hop set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,12 +38,102 @@ pub struct FibEntry {
     pub local: bool,
 }
 
-/// A device's forwarding table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fib {
-    device: DeviceId,
-    entries: Vec<FibEntry>,
-    sets: Vec<Vec<Ipv4>>,
+/// A maximal stretch of a FIB's entries: the prefixes at prefix-table
+/// indices `start..end`, all on one next-hop set and locality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FibRun {
+    /// First table index of the run.
+    pub start: u32,
+    /// One past the last table index of the run.
+    pub end: u32,
+    /// Index into the owning [`Fib`]'s next-hop-set pool.
+    pub set: u32,
+    /// Locally originated entries.
+    pub local: bool,
+}
+
+impl FibRun {
+    fn entry(&self, prefix: Prefix) -> FibEntry {
+        FibEntry {
+            prefix,
+            set: self.set,
+            local: self.local,
+        }
+    }
+}
+
+/// Append a run, merging it into the last one when it continues it.
+/// Every constructor goes through here, so runs stay maximal: two
+/// tables over one prefix table hold the same entries exactly when
+/// their runs are equal.
+pub(crate) fn push_run(runs: &mut Vec<FibRun>, run: FibRun) {
+    debug_assert!(run.start < run.end);
+    if let Some(last) = runs.last_mut() {
+        debug_assert!(last.end <= run.start);
+        if last.end == run.start && last.set == run.set && last.local == run.local {
+            last.end = run.end;
+            return;
+        }
+    }
+    runs.push(run);
+}
+
+/// One entry's replacement for [`Fib::patched`]: a prefix-table index
+/// and the entry's new next hops and locality, or `None` to drop it.
+pub(crate) type Patch = (u32, Option<(Vec<Ipv4>, bool)>);
+
+/// Distinct prefixes in canonical order.
+#[derive(Debug)]
+pub(crate) struct PrefixTable {
+    prefixes: Box<[Prefix]>,
+    /// Running sums of the prefixes' hash weights (`sums[i]` covers the
+    /// first `i`), kept by shared tables: a run's share of
+    /// [`Fib::content_hash`] is then one subtraction.
+    sums: Option<Box<[u64]>>,
+}
+
+impl PrefixTable {
+    /// A table many FIBs will share.
+    pub(crate) fn shared(prefixes: Vec<Prefix>) -> PrefixTable {
+        let mut acc = 0u64;
+        let mut sums = Vec::with_capacity(prefixes.len() + 1);
+        sums.push(0);
+        for &p in &prefixes {
+            acc = acc.wrapping_add(prefix_weight(p));
+            sums.push(acc);
+        }
+        PrefixTable {
+            prefixes: prefixes.into(),
+            sums: Some(sums.into()),
+        }
+    }
+
+    /// A table holding exactly one FIB's prefixes.
+    fn private(prefixes: Vec<Prefix>) -> PrefixTable {
+        PrefixTable {
+            prefixes: prefixes.into(),
+            sums: None,
+        }
+    }
+
+    /// Sum of the hash weights of the prefixes at `start..end`.
+    fn weight(&self, start: u32, end: u32) -> u64 {
+        match &self.sums {
+            Some(s) => s[end as usize].wrapping_sub(s[start as usize]),
+            None => self.prefixes[start as usize..end as usize]
+                .iter()
+                .fold(0u64, |acc, &p| acc.wrapping_add(prefix_weight(p))),
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<PrefixTable>()
+            + std::mem::size_of_val(&self.prefixes[..])
+            + self
+                .sums
+                .as_ref()
+                .map_or(0, |s| std::mem::size_of_val(&s[..]))
+    }
 }
 
 /// Canonical entry order: descending prefix length, then ascending
@@ -38,16 +142,183 @@ pub(crate) fn canonical_lt(a: Prefix, b: Prefix) -> bool {
     a.len() > b.len() || (a.len() == b.len() && a.addr() < b.addr())
 }
 
+/// `canonical_lt` as an ordering.
+fn canonical_cmp(a: Prefix, b: Prefix) -> std::cmp::Ordering {
+    b.len().cmp(&a.len()).then(a.addr().cmp(&b.addr()))
+}
+
+/// A per-device pool of interned next-hop sets, in first-use order.
+#[derive(Debug, Default)]
+pub(crate) struct SetPool {
+    sets: Vec<Vec<Ipv4>>,
+    ids: HashMap<Vec<Ipv4>, u32>,
+}
+
+impl SetPool {
+    /// Intern a next-hop set (sorted and deduplicated for canonical
+    /// comparison — a FIB entry's next hops are a *set*, and repeating
+    /// an address must not change how any engine judges the entry).
+    pub(crate) fn intern(&mut self, mut hops: Vec<Ipv4>) -> u32 {
+        hops.sort_unstable();
+        hops.dedup();
+        if let Some(&id) = self.ids.get(&hops) {
+            return id;
+        }
+        let id = self.sets.len() as u32;
+        self.sets.push(hops.clone());
+        self.ids.insert(hops, id);
+        id
+    }
+
+    /// A set by id.
+    pub(crate) fn get(&self, id: u32) -> &[Ipv4] {
+        &self.sets[id as usize]
+    }
+
+    /// Number of interned sets.
+    pub(crate) fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// The sets, indexed by id.
+    pub(crate) fn into_sets(self) -> Vec<Vec<Ipv4>> {
+        self.sets
+    }
+}
+
+/// Work-order run code: no route.
+pub(crate) const ABSENT: u32 = u32::MAX;
+/// Work-order run code flag: a local entry. The other bits are a pool
+/// id, which stays below the flag.
+pub(crate) const LOCAL: u32 = 1 << 31;
+
+/// The prefix table of a simulation's work list, and how work indices
+/// map onto it.
+pub(crate) struct TableOrder {
+    table: Arc<PrefixTable>,
+    /// `(first table index, first work index, length)`: maximal
+    /// stretches of consecutive table indices holding consecutive work
+    /// indices. A work list in canonical order is one stretch.
+    segments: Vec<(u32, u32, u32)>,
+    /// Work list length.
+    work: u32,
+}
+
+impl TableOrder {
+    /// The table of a work list's prefixes. A prefix listed twice
+    /// takes its last listing's state, as a builder's last push wins.
+    pub(crate) fn new(prefixes: &[Prefix]) -> TableOrder {
+        let mut order: Vec<u32> = (0..prefixes.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            canonical_cmp(prefixes[a as usize], prefixes[b as usize]).then(b.cmp(&a))
+        });
+        order.dedup_by_key(|k| prefixes[*k as usize]);
+        let mut segments: Vec<(u32, u32, u32)> = Vec::new();
+        for (t, &k) in order.iter().enumerate() {
+            match segments.last_mut() {
+                Some((_, k0, len)) if *k0 + *len == k => *len += 1,
+                _ => segments.push((t as u32, k, 1)),
+            }
+        }
+        let table = order.iter().map(|&k| prefixes[k as usize]).collect();
+        TableOrder {
+            table: Arc::new(PrefixTable::shared(table)),
+            segments,
+            work: prefixes.len() as u32,
+        }
+    }
+}
+
+/// One device's entries as a simulation emits them: runs over work
+/// list indices, each with one run code, and the pool their sets are
+/// interned into, in first-use order along the work list.
+#[derive(Debug, Default)]
+pub(crate) struct WorkRuns {
+    /// `(first work index, code)`. A run ends where the next begins,
+    /// or at the work list's end; indices before the first run are
+    /// absent.
+    runs: Vec<(u32, u32)>,
+    pool: SetPool,
+}
+
+impl WorkRuns {
+    /// Intern a next-hop set into this device's pool.
+    pub(crate) fn intern(&mut self, hops: Vec<Ipv4>) -> u32 {
+        self.pool.intern(hops)
+    }
+
+    /// The code of work index `k`, which follows every index recorded
+    /// so far: starts a run unless it continues the current one.
+    pub(crate) fn set(&mut self, k: u32, code: u32) {
+        if self.runs.last().map_or(ABSENT, |r| r.1) != code {
+            self.runs.push((k, code));
+        }
+    }
+
+    /// Append another recording whose work indices start at `offset`
+    /// and follow this one's. Each of its sets is interned at its
+    /// first use, so the pool is laid out as if one recording had seen
+    /// both.
+    pub(crate) fn absorb(&mut self, other: &WorkRuns, offset: u32) {
+        let mut map = vec![u32::MAX; other.pool.len()];
+        let lead = other
+            .runs
+            .first()
+            .is_none_or(|r| r.0 > 0)
+            .then_some((0, ABSENT));
+        for (k, code) in lead.into_iter().chain(other.runs.iter().copied()) {
+            let code = if code == ABSENT {
+                ABSENT
+            } else {
+                let id = (code & !LOCAL) as usize;
+                if map[id] == u32::MAX {
+                    map[id] = self.pool.intern(other.pool.get(id as u32).to_vec());
+                }
+                map[id] | (code & LOCAL)
+            };
+            self.set(k + offset, code);
+        }
+    }
+
+    /// The finished table over `order`'s shared prefix table: each
+    /// work-order run is cut along the table's stretches.
+    pub(crate) fn into_fib(self, device: DeviceId, order: &TableOrder) -> Fib {
+        let mut runs = Vec::new();
+        for &(t0, k0, len) in &order.segments {
+            let k1 = k0 + len;
+            let mut i = self
+                .runs
+                .partition_point(|&(k, _)| k <= k0)
+                .saturating_sub(1);
+            while let Some(&(rs, code)) = self.runs.get(i) {
+                if rs >= k1 {
+                    break;
+                }
+                let re = self.runs.get(i + 1).map_or(order.work, |r| r.0);
+                let (a, b) = (rs.max(k0), re.min(k1));
+                if a < b && code != ABSENT {
+                    push_run(
+                        &mut runs,
+                        FibRun {
+                            start: t0 + a - k0,
+                            end: t0 + b - k0,
+                            set: code & !LOCAL,
+                            local: code & LOCAL != 0,
+                        },
+                    );
+                }
+                i += 1;
+            }
+        }
+        Fib::from_runs(device, order.table.clone(), runs, self.pool.into_sets())
+    }
+}
+
 /// Incremental FIB construction with next-hop-set interning.
 pub struct FibBuilder {
     device: DeviceId,
     entries: Vec<FibEntry>,
-    sets: Vec<Vec<Ipv4>>,
-    interner: HashMap<Vec<Ipv4>, u32>,
-    /// The entries so far are strictly in canonical order. Kept up to
-    /// date as entries arrive, so [`finish`](Self::finish) needs no
-    /// scan of the finished table to skip its sort.
-    canonical: bool,
+    pool: SetPool,
 }
 
 impl FibBuilder {
@@ -56,97 +327,21 @@ impl FibBuilder {
         FibBuilder {
             device,
             entries: Vec::new(),
-            sets: Vec::new(),
-            interner: HashMap::new(),
-            canonical: true,
+            pool: SetPool::default(),
         }
     }
 
-    /// Entries starting at prefix `next` are about to be appended: the
-    /// table stays canonical only if `next` follows the last entry.
-    fn note_append(&mut self, next: Prefix) {
-        if let Some(last) = self.entries.last() {
-            self.canonical &= canonical_lt(last.prefix, next);
-        }
+    /// Intern a next-hop set (sorted and deduplicated, see
+    /// [`push`](Self::push)) and return its pool id.
+    pub fn intern(&mut self, hops: Vec<Ipv4>) -> u32 {
+        self.pool.intern(hops)
     }
 
-    /// Intern a next-hop set (sorted and deduplicated for canonical
-    /// comparison — a FIB entry's next hops are a *set*, and repeating
-    /// an address must not change how any engine judges the entry).
-    pub fn intern(&mut self, mut hops: Vec<Ipv4>) -> u32 {
-        hops.sort_unstable();
-        hops.dedup();
-        if let Some(&id) = self.interner.get(&hops) {
-            return id;
-        }
-        let id = self.sets.len() as u32;
-        self.sets.push(hops.clone());
-        self.interner.insert(hops, id);
-        id
-    }
-
-    /// Append an entry.
+    /// Append an entry. Next hops are a set: their order and any
+    /// repeated address do not matter.
     pub fn push(&mut self, prefix: Prefix, hops: Vec<Ipv4>, local: bool) {
         let set = self.intern(hops);
-        self.note_append(prefix);
         self.entries.push(FibEntry { prefix, set, local });
-    }
-
-    /// Append one entry per prefix, all sharing an already-interned hop
-    /// set — the id a prior [`intern`](Self::intern) call on *this*
-    /// builder returned. The simulator's emit loop run-length encodes each
-    /// device's forwarding state over the prefix sequence and expands
-    /// the runs here, so the 10⁴-builder sweep appends long streaming
-    /// stretches instead of one scattered push per (prefix, device)
-    /// pair. Equivalent to pushing each prefix individually in order.
-    pub fn extend_run(&mut self, prefixes: &[Prefix], set: u32, local: bool) {
-        debug_assert!((set as usize) < self.sets.len(), "unknown interned set id");
-        let Some(&first) = prefixes.first() else {
-            return;
-        };
-        // The run's prefixes come from the caller's shared, cache-hot
-        // prefix list, so checking them here is cheaper than scanning
-        // the finished table.
-        self.note_append(first);
-        self.canonical &= prefixes.windows(2).all(|w| canonical_lt(w[0], w[1]));
-        self.entries
-            .extend(prefixes.iter().map(|&prefix| FibEntry { prefix, set, local }));
-    }
-
-    /// Reserve room for `additional` more entries. The simulator knows
-    /// each device's exact entry count before expanding its runs;
-    /// reserving once avoids growth reallocations over 10⁴ builders.
-    pub fn reserve(&mut self, additional: usize) {
-        self.entries.reserve_exact(additional);
-    }
-
-    /// Re-play another builder's pushes onto this one, preserving
-    /// their push order. Parallel simulation workers each accumulate a
-    /// per-device partial table over their own prefix range; absorbing
-    /// the workers in range order reproduces the serial push sequence
-    /// — and therefore the exact serial [`finish`](Self::finish)
-    /// result, interned pool layout included.
-    ///
-    /// Each source set is interned once, at its first use in `other`'s
-    /// entry order — the moment a serial push of that entry would have
-    /// interned it — and the remapped entries are appended in bulk.
-    pub fn absorb(&mut self, other: &FibBuilder) {
-        if let Some(first) = other.entries.first() {
-            self.note_append(first.prefix);
-            self.canonical &= other.canonical;
-        }
-        let mut map = vec![u32::MAX; other.sets.len()];
-        self.entries.reserve(other.entries.len());
-        for e in &other.entries {
-            let src = e.set as usize;
-            if map[src] == u32::MAX {
-                map[src] = self.intern(other.sets[src].clone());
-            }
-            self.entries.push(FibEntry {
-                set: map[src],
-                ..*e
-            });
-        }
     }
 
     /// Number of entries pushed so far.
@@ -161,81 +356,141 @@ impl FibBuilder {
 
     /// Finish: entries are sorted by descending prefix length, then
     /// address — the longest-prefix-match processing order used by the
-    /// verification engines (Definition 2.1).
+    /// verification engines (Definition 2.1) — and coalesced into runs
+    /// over a private prefix table. The pool keeps push-order
+    /// interning.
     ///
     /// Duplicate pushes of the same prefix are collapsed to a single
     /// entry and the *last* push wins, mirroring how a router's RIB
     /// overwrites a re-advertised route and how `apply_delta` treats a
     /// `modified` rule. (The wire decoder is stricter: `Fib::from_wire`
     /// rejects duplicate prefixes outright, because a pulled snapshot
-    /// has no push order to break the tie with.) Collapsing here is
-    /// what upholds the sorted-uniqueness invariant that `entry_for`'s
-    /// binary search and `apply_delta`'s prefix-keyed maps rely on.
+    /// has no push order to break the tie with.)
     pub fn finish(mut self) -> Fib {
-        // The simulator pushes entries in hosted-prefix order (/24s by
-        // ascending address, the default last) — already the canonical
-        // order, with no duplicates. Strict sortedness implies prefix
-        // uniqueness, so the O(n log n) sort and the dedup pass can
-        // both be skipped.
-        if self.canonical {
-            return Fib {
-                device: self.device,
-                entries: self.entries,
-                sets: self.sets,
-            };
+        // Strict sortedness implies uniqueness: tables pushed in
+        // canonical order (the common case) skip the sort and dedup.
+        if !self
+            .entries
+            .windows(2)
+            .all(|w| canonical_lt(w[0].prefix, w[1].prefix))
+        {
+            let mut indexed: Vec<(usize, FibEntry)> = self.entries.drain(..).enumerate().collect();
+            // Sort duplicates latest-push-first, then keep the first of
+            // each prefix run (dedup_by retains the earlier element).
+            indexed.sort_unstable_by(|(ia, a), (ib, b)| {
+                canonical_cmp(a.prefix, b.prefix).then(ib.cmp(ia))
+            });
+            indexed.dedup_by(|(_, a), (_, b)| a.prefix == b.prefix);
+            self.entries = indexed.into_iter().map(|(_, e)| e).collect();
         }
-        let mut indexed: Vec<(usize, FibEntry)> =
-            self.entries.drain(..).enumerate().collect();
-        // Sort duplicates latest-push-first, then keep the first of
-        // each prefix run (dedup_by retains the earlier element).
-        indexed.sort_unstable_by(|(ia, a), (ib, b)| {
-            b.prefix
-                .len()
-                .cmp(&a.prefix.len())
-                .then(a.prefix.addr().cmp(&b.prefix.addr()))
-                .then(ib.cmp(ia))
-        });
-        indexed.dedup_by(|(_, a), (_, b)| a.prefix == b.prefix);
-        Fib {
-            device: self.device,
-            entries: indexed.into_iter().map(|(_, e)| e).collect(),
-            sets: self.sets,
+        let mut runs = Vec::new();
+        for (i, e) in self.entries.iter().enumerate() {
+            let i = i as u32;
+            push_run(
+                &mut runs,
+                FibRun {
+                    start: i,
+                    end: i + 1,
+                    set: e.set,
+                    local: e.local,
+                },
+            );
         }
+        let table = PrefixTable::private(self.entries.iter().map(|e| e.prefix).collect());
+        Fib::from_runs(self.device, Arc::new(table), runs, self.pool.into_sets())
+    }
+}
+
+/// A device's forwarding table (see the module doc for the layout).
+pub struct Fib {
+    device: DeviceId,
+    table: Arc<PrefixTable>,
+    runs: Vec<FibRun>,
+    len: usize,
+    sets: Vec<Vec<Ipv4>>,
+    /// The entries as one array, built on the first positional access
+    /// through [`Entries`]' `Index`; iteration never builds it.
+    flat: OnceLock<Box<[FibEntry]>>,
+}
+
+impl Clone for Fib {
+    fn clone(&self) -> Fib {
+        Fib::from_runs(
+            self.device,
+            self.table.clone(),
+            self.runs.clone(),
+            self.sets.clone(),
+        )
+    }
+}
+
+/// Same device, same entry sequence (set ids included) and same pool,
+/// whichever prefix table each side is stored over.
+impl PartialEq for Fib {
+    fn eq(&self, other: &Fib) -> bool {
+        self.device == other.device
+            && self.len == other.len
+            && self.sets == other.sets
+            && if self.same_table(other) {
+                self.runs == other.runs
+            } else {
+                self.entries().eq(other.entries())
+            }
+    }
+}
+
+impl Eq for Fib {}
+
+impl std::fmt::Debug for Fib {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Fib")
+            .field("device", &self.device)
+            .field("entries", &self.entries().collect::<Vec<_>>())
+            .field("sets", &self.sets)
+            .finish()
     }
 }
 
 impl Fib {
+    /// Assemble a table from maximal runs over `table` (see
+    /// [`push_run`]) and a pool whose ids the runs use.
+    pub(crate) fn from_runs(
+        device: DeviceId,
+        table: Arc<PrefixTable>,
+        runs: Vec<FibRun>,
+        sets: Vec<Vec<Ipv4>>,
+    ) -> Fib {
+        debug_assert!(runs.windows(2).all(|w| {
+            let (a, b) = (w[0], w[1]);
+            a.end < b.start || (a.end == b.start && (a.set, a.local) != (b.set, b.local))
+        }));
+        debug_assert!(runs.iter().all(|r| r.end as usize <= table.prefixes.len()));
+        debug_assert!(runs.iter().all(|r| (r.set as usize) < sets.len()));
+        let len = runs.iter().map(|r| (r.end - r.start) as usize).sum();
+        Fib {
+            device,
+            table,
+            runs,
+            len,
+            sets,
+            flat: OnceLock::new(),
+        }
+    }
+
     /// An empty FIB (e.g. a device with the layer-2 port bug).
     pub fn empty(device: DeviceId) -> Fib {
-        Fib {
+        Fib::from_runs(
             device,
-            entries: Vec::new(),
-            sets: Vec::new(),
-        }
+            Arc::new(PrefixTable::private(Vec::new())),
+            Vec::new(),
+            Vec::new(),
+        )
     }
 
-    /// Assemble a table directly from pre-canonicalized parts: entries
-    /// already in the sorted order [`FibBuilder::finish`] produces, set
-    /// ids already deduplicated in first-use order. The restart patcher
-    /// splices failure scenarios out of the healthy table this way,
-    /// skipping the per-entry interner — the caller owns the proof that
-    /// the layout matches what a builder replay would have produced.
-    pub(crate) fn from_parts(device: DeviceId, entries: Vec<FibEntry>, sets: Vec<Vec<Ipv4>>) -> Fib {
-        debug_assert!(entries
-            .windows(2)
-            .all(|w| canonical_lt(w[0].prefix, w[1].prefix)));
-        debug_assert!(entries.iter().all(|e| (e.set as usize) < sets.len()));
-        Fib {
-            device,
-            entries,
-            sets,
-        }
-    }
-
-    /// A pool set by id (the restart patcher remaps healthy ids into a
-    /// scenario table's pool without re-hashing the vectors).
-    pub(crate) fn set(&self, id: u32) -> &[Ipv4] {
-        &self.sets[id as usize]
+    /// Both tables are stored over equal prefix tables, so their runs
+    /// are directly comparable.
+    fn same_table(&self, other: &Fib) -> bool {
+        Arc::ptr_eq(&self.table, &other.table) || self.table.prefixes == other.table.prefixes
     }
 
     /// The owning device.
@@ -243,69 +498,104 @@ impl Fib {
         self.device
     }
 
-    /// Entries, sorted by descending prefix length.
-    pub fn entries(&self) -> &[FibEntry] {
-        &self.entries
+    /// Entries, sorted by descending prefix length, then ascending
+    /// address.
+    pub fn entries(&self) -> Entries<'_> {
+        Entries {
+            fib: self,
+            front: (0, self.runs.first().map_or(0, |r| r.start)),
+            back: (
+                self.runs.len().saturating_sub(1),
+                self.runs.last().map_or(0, |r| r.end),
+            ),
+            taken: 0,
+            remaining: self.len,
+        }
+    }
+
+    /// The entries' maximal runs over [`prefixes`](Self::prefixes),
+    /// ascending.
+    pub fn runs(&self) -> &[FibRun] {
+        &self.runs
+    }
+
+    /// The prefix table the runs index: every prefix of this table,
+    /// and (for a table shared across a fabric) others absent from it,
+    /// in canonical order.
+    pub fn prefixes(&self) -> &[Prefix] {
+        &self.table.prefixes
+    }
+
+    /// The entry at prefix-table index `t`, if present.
+    pub(crate) fn entry_at(&self, t: u32) -> Option<FibEntry> {
+        let i = self.runs.partition_point(|r| r.end <= t);
+        self.runs
+            .get(i)
+            .filter(|r| r.start <= t)
+            .map(|r| r.entry(self.table.prefixes[t as usize]))
     }
 
     /// The next-hop addresses of an entry.
-    pub fn next_hops(&self, e: &FibEntry) -> &[Ipv4] {
+    pub fn next_hops(&self, e: FibEntry) -> &[Ipv4] {
         &self.sets[e.set as usize]
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// The default-route entry (`0.0.0.0/0`), if present.
-    pub fn default_entry(&self) -> Option<&FibEntry> {
-        // Sorted by descending length: the default, if any, is last.
-        self.entries.last().filter(|e| e.prefix.is_default())
+    pub fn default_entry(&self) -> Option<FibEntry> {
+        // Canonical order puts the default, if any, last.
+        let last = self.runs.last()?;
+        let p = self.table.prefixes[last.end as usize - 1];
+        p.is_default().then(|| last.entry(p))
     }
 
-    /// Longest-prefix-match lookup (reference semantics for tests and
-    /// the global baseline checker; the production engines use tries).
+    /// Longest-prefix-match lookup (reference semantics for tests, the
+    /// global baseline checker and the SMT engine's witness replay).
     ///
-    /// Entries are sorted by (descending length, address): within each
-    /// length run a binary search finds the unique candidate prefix
-    /// containing `ip`, so lookup is O(distinct lengths × log n)
-    /// rather than O(n).
-    pub fn lookup(&self, ip: Ipv4) -> Option<&FibEntry> {
+    /// The prefix table is sorted by (descending length, address):
+    /// within each length a binary search finds the unique candidate
+    /// prefix containing `ip`, so lookup is O(distinct lengths × log
+    /// n) rather than O(n).
+    pub fn lookup(&self, ip: Ipv4) -> Option<FibEntry> {
+        let table = &self.table.prefixes;
         let mut i = 0;
-        while i < self.entries.len() {
-            let len = self.entries[i].prefix.len();
-            // End of this length run.
-            let run_end = i + self.entries[i..].partition_point(|e| e.prefix.len() == len);
-            let run = &self.entries[i..run_end];
+        while i < table.len() {
+            let len = table[i].len();
+            let end = i + table[i..].partition_point(|p| p.len() == len);
             let candidate = Prefix::containing(ip, len).expect("len <= 32");
-            if let Ok(k) = run.binary_search_by(|e| e.prefix.addr().cmp(&candidate.addr())) {
-                return Some(&run[k]);
+            if let Ok(k) = table[i..end].binary_search_by(|p| p.addr().cmp(&candidate.addr())) {
+                if let Some(e) = self.entry_at((i + k) as u32) {
+                    return Some(e);
+                }
             }
-            i = run_end;
+            i = end;
         }
         None
     }
 
-    /// Find the entry for an exact prefix. Binary search over the
-    /// sorted entry order — called once per contract by the strict
-    /// engines, so it must not be linear (a 10⁴-router run issues
-    /// ~10⁸ of these lookups).
-    pub fn entry_for(&self, prefix: Prefix) -> Option<&FibEntry> {
-        self.entries
-            .binary_search_by(|e| {
-                prefix
-                    .len()
-                    .cmp(&e.prefix.len())
-                    .then(e.prefix.addr().cmp(&prefix.addr()))
-            })
+    /// The prefix-table index of `prefix`, if the table lists it.
+    fn position(&self, prefix: Prefix) -> Option<u32> {
+        self.table
+            .prefixes
+            .binary_search_by(|&p| canonical_cmp(p, prefix))
             .ok()
-            .map(|i| &self.entries[i])
+            .map(|t| t as u32)
+    }
+
+    /// Find the entry for an exact prefix. Binary searches over the
+    /// prefix table and the runs — called once per contract by the
+    /// strict engines, so it must not be linear.
+    pub fn entry_for(&self, prefix: Prefix) -> Option<FibEntry> {
+        self.entry_at(self.position(prefix)?)
     }
 
     /// Serialize for the puller→validator transfer (§2.6.1).
@@ -313,8 +603,7 @@ impl Fib {
         WireSnapshot {
             device: self.device.0,
             entries: self
-                .entries
-                .iter()
+                .entries()
                 .map(|e| WireEntry {
                     prefix: e.prefix,
                     next_hops: self.next_hops(e).to_vec(),
@@ -332,19 +621,25 @@ impl Fib {
     /// on the wire, and silently picking one arm would let a corrupted
     /// pull masquerade as a clean table.
     pub fn from_wire(w: &WireSnapshot) -> Result<Fib, ParseError> {
-        let mut seen =
-            std::collections::HashSet::with_capacity(w.entries.len());
-        let mut b = FibBuilder::new(DeviceId(w.device));
-        for e in &w.entries {
-            if !seen.insert(e.prefix) {
+        // A snapshot in canonical order (what `to_wire` writes) has no
+        // duplicates; only another order needs the set.
+        if !w
+            .entries
+            .windows(2)
+            .all(|p| canonical_lt(p[0].prefix, p[1].prefix))
+        {
+            let mut seen = HashSet::with_capacity(w.entries.len());
+            if let Some(e) = w.entries.iter().find(|e| !seen.insert(e.prefix)) {
                 return Err(ParseError::new(
                     "fib snapshot",
                     "<decode>",
                     format!("duplicate prefix {} in snapshot", e.prefix),
                 ));
             }
-            let local = e.next_hops.is_empty();
-            b.push(e.prefix, e.next_hops.clone(), local);
+        }
+        let mut b = FibBuilder::new(DeviceId(w.device));
+        for e in &w.entries {
+            b.push(e.prefix, e.next_hops.clone(), e.next_hops.is_empty());
         }
         Ok(b.finish())
     }
@@ -354,20 +649,43 @@ impl Fib {
         self.sets.len()
     }
 
+    /// Heap and inline bytes held by a set of tables, counting each
+    /// shared prefix table once.
+    pub fn resident_bytes(fibs: &[Fib]) -> usize {
+        let mut tables: HashSet<*const PrefixTable> = HashSet::new();
+        let mut bytes = 0;
+        for f in fibs {
+            bytes += std::mem::size_of::<Fib>()
+                + f.runs.capacity() * std::mem::size_of::<FibRun>()
+                + f.sets.capacity() * std::mem::size_of::<Vec<Ipv4>>()
+                + f.sets.iter().map(|s| s.capacity() * 4).sum::<usize>()
+                + f.flat.get().map_or(0, |e| std::mem::size_of_val(&e[..]));
+            if tables.insert(Arc::as_ptr(&f.table)) {
+                bytes += f.table.resident_bytes();
+            }
+        }
+        bytes
+    }
+
     /// Stable content hash of the table.
     ///
     /// Covers the device id and every entry (prefix, locality, next
-    /// hops) in the canonical sort order, so two `Fib`s built by any
-    /// route — simulation, wire decode, delta application — hash equal
-    /// iff they forward identically. This is the identity the
-    /// incremental pipeline keys on: an unchanged snapshot costs one
-    /// hash comparison instead of a validation pass.
+    /// hops), so two `Fib`s built by any route — simulation, wire
+    /// decode, delta application, restart splice — hash equal iff they
+    /// forward identically. This is the identity the incremental
+    /// pipeline keys on: an unchanged snapshot costs one hash
+    /// comparison instead of a validation pass.
     ///
-    /// Each pool set is digested once from its addresses, and an entry
-    /// mixes two words: its prefix and locality, and its set's digest.
-    /// The digest depends on the set's content only, never on its pool
-    /// id, so the pool's interning order does not reach the hash; and
-    /// the cost is two words per entry instead of one per next hop.
+    /// The entries are summed, not chained: an entry adds
+    /// `weight(prefix) × factor(locality, set digest)`, both odd, so
+    /// changing one entry's prefix or locality always moves the sum,
+    /// and so does changing its next hops unless two set digests
+    /// collide. A run's entries share a factor, so its share is the
+    /// factor times its prefixes' weight sum — one subtraction of
+    /// running sums on a shared table. The cost is O(runs + pool
+    /// addresses), and set digests depend on content only, never on
+    /// pool ids, so neither run cuts nor interning order reach the
+    /// hash.
     pub fn content_hash(&self) -> u64 {
         // FNV-1a over 64-bit words; stability across runs is what
         // matters (hashes travel inside [`FibDelta`]s), not diffusion.
@@ -383,25 +701,169 @@ impl Fib {
                 })
             })
             .collect();
-        let mut h = mix(
-            mix(BASIS, u64::from(self.device.0)),
-            self.entries.len() as u64,
-        );
-        for e in &self.entries {
-            let word = (u64::from(e.local) << 40)
-                | (u64::from(e.prefix.addr().0) << 8)
-                | u64::from(e.prefix.len());
-            h = mix(mix(h, word), digests[e.set as usize]);
+        let sum = self.runs.iter().fold(0u64, |acc, r| {
+            let factor = (spread(digests[r.set as usize]) << 2) | (u64::from(r.local) << 1) | 1;
+            acc.wrapping_add(factor.wrapping_mul(self.table.weight(r.start, r.end)))
+        });
+        mix(
+            mix(mix(BASIS, u64::from(self.device.0)), self.len as u64),
+            sum,
+        )
+    }
+
+    /// Call `f(prefix, old entry, new entry)` for every prefix on which
+    /// two tables disagree (present on one side only, or differing in
+    /// locality or next hops), in canonical order. Tables over one
+    /// prefix table compare run against run and skip agreeing
+    /// stretches whole.
+    pub(crate) fn diff(
+        old: &Fib,
+        new: &Fib,
+        mut f: impl FnMut(Prefix, Option<FibEntry>, Option<FibEntry>),
+    ) {
+        let same = |a: Option<FibEntry>, b: Option<FibEntry>| match (a, b) {
+            (Some(a), Some(b)) => a.local == b.local && old.next_hops(a) == new.next_hops(b),
+            (None, None) => true,
+            _ => false,
+        };
+        if old.same_table(new) {
+            let table = &old.table.prefixes;
+            let (mut i, mut j) = (0usize, 0usize);
+            let mut t = 0u32;
+            // Walk the union of both tables' run boundaries: between
+            // two consecutive boundaries each side is one state.
+            loop {
+                let (a, b) = (old.runs.get(i), new.runs.get(j));
+                if a.is_none() && b.is_none() {
+                    break;
+                }
+                let state = |r: Option<&FibRun>| match r {
+                    Some(r) if r.start <= t => (Some(*r), r.end),
+                    Some(r) => (None, r.start),
+                    None => (None, u32::MAX),
+                };
+                let ((ra, ea), (rb, eb)) = (state(a), state(b));
+                let end = ea.min(eb);
+                let entry = |r: Option<FibRun>, t: u32| r.map(|r| r.entry(table[t as usize]));
+                if !same(entry(ra, t), entry(rb, t)) {
+                    for u in t..end {
+                        f(table[u as usize], entry(ra, u), entry(rb, u));
+                    }
+                }
+                t = end;
+                i += usize::from(a.is_some_and(|r| r.end == t));
+                j += usize::from(b.is_some_and(|r| r.end == t));
+            }
+            return;
         }
-        h
+        let (mut a, mut b) = (old.entries().peekable(), new.entries().peekable());
+        loop {
+            let ord = match (a.peek(), b.peek()) {
+                (None, None) => break,
+                (Some(_), None) => std::cmp::Ordering::Less,
+                (None, Some(_)) => std::cmp::Ordering::Greater,
+                (Some(x), Some(y)) => canonical_cmp(x.prefix, y.prefix),
+            };
+            let (x, y) = match ord {
+                std::cmp::Ordering::Equal => (a.next(), b.next()),
+                std::cmp::Ordering::Less => (a.next(), None),
+                std::cmp::Ordering::Greater => (None, b.next()),
+            };
+            if !same(x, y) {
+                f(x.or(y).expect("one side is present").prefix, x, y);
+            }
+        }
+    }
+
+    /// This table with the entries at some prefix-table indices
+    /// replaced: `patches` lists `(index, None)` to drop an entry and
+    /// `(index, Some((hops, local)))` to set one, ascending by index.
+    /// The result shares the prefix table, and its pool is laid out in
+    /// first-use order along the new entries — the order a simulation
+    /// interns in when its work list is in canonical order.
+    pub(crate) fn patched(&self, patches: &[Patch]) -> Fib {
+        let base = self.sets.len() as u32;
+        // Patched contents resolve to a pool id when the pool already
+        // holds them, else to a new id past the pool.
+        let mut novel: Vec<&[Ipv4]> = Vec::new();
+        let resolved: Vec<(u32, Option<FibRun>)> = patches
+            .iter()
+            .map(|(t, state)| {
+                let run = state.as_ref().map(|(hops, local)| {
+                    let set = match self.sets.iter().position(|s| s == hops) {
+                        Some(i) => i as u32,
+                        None => {
+                            let n = novel.iter().position(|&s| s == hops.as_slice());
+                            base + n.unwrap_or_else(|| {
+                                novel.push(hops);
+                                novel.len() - 1
+                            }) as u32
+                        }
+                    };
+                    FibRun {
+                        start: *t,
+                        end: t + 1,
+                        set,
+                        local: *local,
+                    }
+                });
+                (*t, run)
+            })
+            .collect();
+        let mut runs = Vec::with_capacity(self.runs.len() + 2 * patches.len());
+        let mut p = resolved.into_iter().peekable();
+        for r in &self.runs {
+            let mut s = r.start;
+            while let Some((t, run)) = p.next_if(|&(t, _)| t < r.end) {
+                if t >= s {
+                    if s < t {
+                        push_run(
+                            &mut runs,
+                            FibRun {
+                                start: s,
+                                end: t,
+                                ..*r
+                            },
+                        );
+                    }
+                    s = t + 1;
+                }
+                if let Some(run) = run {
+                    push_run(&mut runs, run);
+                }
+            }
+            if s < r.end {
+                push_run(&mut runs, FibRun { start: s, ..*r });
+            }
+        }
+        for run in p.filter_map(|(_, run)| run) {
+            push_run(&mut runs, run);
+        }
+        // Renumber the pool in first-use order. Ids name distinct
+        // contents, so renumbering cannot make two runs mergeable.
+        let mut map = vec![u32::MAX; base as usize + novel.len()];
+        let mut sets: Vec<Vec<Ipv4>> = Vec::new();
+        for r in &mut runs {
+            let id = r.set as usize;
+            if map[id] == u32::MAX {
+                map[id] = sets.len() as u32;
+                sets.push(if r.set < base {
+                    self.sets[id].clone()
+                } else {
+                    novel[id - base as usize].to_vec()
+                });
+            }
+            r.set = map[id];
+        }
+        Fib::from_runs(self.device, self.table.clone(), runs, sets)
     }
 
     /// Compute the [`FibDelta`] turning `old` into `new`.
     ///
-    /// A merge walk over the shared canonical entry order; rules whose
-    /// next hops or locality changed land in `modified`, rules on one
-    /// side only in `added`/`removed`. The delta is anchored to both
-    /// tables' [`content_hash`](Self::content_hash)es.
+    /// Rules whose next hops or locality changed land in `modified`,
+    /// rules on one side only in `added`/`removed`, each in canonical
+    /// order. The delta is anchored to both tables'
+    /// [`content_hash`](Self::content_hash)es.
     ///
     /// Panics when the two tables belong to different devices.
     pub fn delta(old: &Fib, new: &Fib) -> FibDelta {
@@ -415,41 +877,21 @@ impl Fib {
             new_hash: new.content_hash(),
             ..FibDelta::default()
         };
-        let rule = |fib: &Fib, e: &FibEntry| DeltaRule {
-            prefix: e.prefix,
-            next_hops: fib.next_hops(e).to_vec(),
-            local: e.local,
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < old.entries.len() && j < new.entries.len() {
-            let (a, b) = (&old.entries[i], &new.entries[j]);
-            let ord = b
-                .prefix
-                .len()
-                .cmp(&a.prefix.len())
-                .then(a.prefix.addr().cmp(&b.prefix.addr()));
-            match ord {
-                std::cmp::Ordering::Equal => {
-                    if a.local != b.local || old.next_hops(a) != new.next_hops(b) {
-                        delta.modified.push(rule(new, b));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    delta.removed.push(a.prefix);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    delta.added.push(rule(new, b));
-                    j += 1;
+        Fib::diff(old, new, |prefix, a, b| match b {
+            Some(b) => {
+                let rule = DeltaRule {
+                    prefix,
+                    next_hops: new.next_hops(b).to_vec(),
+                    local: b.local,
+                };
+                if a.is_some() {
+                    delta.modified.push(rule);
+                } else {
+                    delta.added.push(rule);
                 }
             }
-        }
-        delta.removed.extend(old.entries[i..].iter().map(|e| e.prefix));
-        delta
-            .added
-            .extend(new.entries[j..].iter().map(|e| rule(new, e)));
+            None => delta.removed.push(prefix),
+        });
         delta
     }
 
@@ -502,9 +944,9 @@ impl Fib {
                 }
             }
         }
-        let removed: std::collections::HashSet<Prefix> = delta.removed.iter().copied().collect();
+        let removed: HashSet<Prefix> = delta.removed.iter().copied().collect();
         let mut b = FibBuilder::new(self.device);
-        for e in &self.entries {
+        for e in self.entries() {
             if removed.contains(&e.prefix) || changed.contains_key(&e.prefix) {
                 continue;
             }
@@ -522,6 +964,101 @@ impl Fib {
             ));
         }
         Ok(next)
+    }
+
+    /// The entries as one array, built once per table.
+    fn flat(&self) -> &[FibEntry] {
+        self.flat.get_or_init(|| Fib::entries(self).collect())
+    }
+}
+
+/// A prefix's hash weight: odd, so any change of an entry's factor
+/// changes the sum.
+fn prefix_weight(p: Prefix) -> u64 {
+    spread((u64::from(p.addr().0) << 8) | u64::from(p.len())) | 1
+}
+
+/// The splitmix64 finalizer: a bijection on words that spreads every
+/// input bit over the output.
+fn spread(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The entries of a [`Fib`] in canonical order, produced from its runs.
+///
+/// `iter()` and indexing serve callers written against an entry
+/// slice: `entries()[i]` is the `i`-th entry not yet consumed from the
+/// front. Indexing reads an entry array the table builds on first use
+/// and keeps; iteration never builds it.
+#[derive(Clone)]
+pub struct Entries<'a> {
+    fib: &'a Fib,
+    /// Run index and table index of the next entry from the front.
+    front: (usize, u32),
+    /// Run index and table index one past the next entry from the back.
+    back: (usize, u32),
+    taken: usize,
+    remaining: usize,
+}
+
+impl<'a> Entries<'a> {
+    /// The entries not yet consumed, as a fresh iterator.
+    pub fn iter(&self) -> Entries<'a> {
+        self.clone()
+    }
+}
+
+impl Iterator for Entries<'_> {
+    type Item = FibEntry;
+
+    fn next(&mut self) -> Option<FibEntry> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let runs = &self.fib.runs;
+        if self.front.1 == runs[self.front.0].end {
+            self.front.0 += 1;
+            self.front.1 = runs[self.front.0].start;
+        }
+        let t = self.front.1;
+        self.front.1 += 1;
+        self.taken += 1;
+        self.remaining -= 1;
+        Some(runs[self.front.0].entry(self.fib.table.prefixes[t as usize]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl DoubleEndedIterator for Entries<'_> {
+    fn next_back(&mut self) -> Option<FibEntry> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let runs = &self.fib.runs;
+        if self.back.1 == runs[self.back.0].start {
+            self.back.0 -= 1;
+            self.back.1 = runs[self.back.0].end;
+        }
+        self.back.1 -= 1;
+        self.remaining -= 1;
+        Some(runs[self.back.0].entry(self.fib.table.prefixes[self.back.1 as usize]))
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
+
+impl std::ops::Index<usize> for Entries<'_> {
+    type Output = FibEntry;
+
+    fn index(&self, i: usize) -> &FibEntry {
+        assert!(i < self.remaining, "entry {i} out of {}", self.remaining);
+        &self.fib.flat()[self.taken + i]
     }
 }
 
@@ -549,8 +1086,19 @@ mod tests {
     #[test]
     fn entries_sorted_longest_first() {
         let f = sample();
-        let lens: Vec<u8> = f.entries().iter().map(|e| e.prefix.len()).collect();
+        let lens: Vec<u8> = f.entries().map(|e| e.prefix.len()).collect();
         assert_eq!(lens, vec![24, 24, 16, 0]);
+        // Both ends, exact size, and slice-style access agree.
+        let back: Vec<FibEntry> = f.entries().rev().collect();
+        let mut fwd: Vec<FibEntry> = f.entries().collect();
+        fwd.reverse();
+        assert_eq!(back, fwd);
+        let mut it = f.entries();
+        assert_eq!(it.len(), 4);
+        it.next();
+        assert_eq!(it.len(), 3);
+        assert_eq!(it[0].prefix, p("10.0.1.0/24"));
+        assert_eq!(f.entries()[3].prefix, p("0.0.0.0/0"));
     }
 
     #[test]
@@ -657,7 +1205,7 @@ mod tests {
         let back = Fib::from_wire(&w).unwrap();
         assert_eq!(back.device(), f.device());
         assert_eq!(back.len(), f.len());
-        for (a, b) in f.entries().iter().zip(back.entries()) {
+        for (a, b) in f.entries().zip(back.entries()) {
             assert_eq!(a.prefix, b.prefix);
             assert_eq!(f.next_hops(a), back.next_hops(b));
             assert_eq!(a.local, b.local);
@@ -829,7 +1377,7 @@ mod tests {
         let applied = old.apply_delta(&d).unwrap();
         // Same forwarding content (set-pool indices may differ).
         assert_eq!(applied.content_hash(), new.content_hash());
-        for (a, b) in applied.entries().iter().zip(new.entries()) {
+        for (a, b) in applied.entries().zip(new.entries()) {
             assert_eq!(a.prefix, b.prefix);
             assert_eq!(applied.next_hops(a), new.next_hops(b));
             assert_eq!(a.local, b.local);
@@ -912,58 +1460,207 @@ mod tests {
         assert_eq!(applied.content_hash(), new.content_hash());
     }
 
+    /// The work-order runs a simulation would record for per-index
+    /// states (`None` = absent), and the [`FibBuilder`] pushing the
+    /// same entries in work order.
+    fn work_runs(
+        states: &[Option<(Vec<Ipv4>, bool)>],
+        prefixes: &[Prefix],
+    ) -> (WorkRuns, FibBuilder) {
+        let mut w = WorkRuns::default();
+        let mut b = FibBuilder::new(DeviceId(7));
+        for (k, (s, &pf)) in states.iter().zip(prefixes).enumerate() {
+            let code = match s {
+                None => ABSENT,
+                Some((h, local)) => {
+                    b.push(pf, h.clone(), *local);
+                    w.intern(h.clone()) | if *local { LOCAL } else { 0 }
+                }
+            };
+            w.set(k as u32, code);
+        }
+        (w, b)
+    }
+
     #[test]
     fn absorb_replays_pushes_in_order() {
-        // Serial pushes vs two absorbed partial builders: identical
-        // tables, interned pool layout included.
-        let build = |b: &mut FibBuilder, range: std::ops::Range<u8>| {
-            for i in range {
-                b.push(
-                    p(&format!("10.0.{i}.0/24")),
-                    hops(&[[30, 0, 0, i % 3 + 1]]),
-                    false,
-                );
-            }
-        };
-        let mut serial = FibBuilder::new(DeviceId(7));
-        build(&mut serial, 0..8);
-        let mut w0 = FibBuilder::new(DeviceId(7));
-        build(&mut w0, 0..5);
-        let mut w1 = FibBuilder::new(DeviceId(7));
-        build(&mut w1, 5..8);
-        assert_eq!(w0.len(), 5);
-        assert!(!w1.is_empty());
-        let mut merged = FibBuilder::new(DeviceId(7));
-        merged.absorb(&w0);
-        merged.absorb(&w1);
-        assert_eq!(merged.finish(), serial.finish());
+        // Work-order runs recorded in two chunks and absorbed in order
+        // give the table of one serial recording and of builder pushes
+        // in work order, interned pool layout included.
+        let prefixes: Vec<Prefix> = (0..8u8)
+            .map(|i| p(&format!("10.0.{i}.0/24")))
+            .chain([p("0.0.0.0/0")])
+            .collect();
+        let states: Vec<Option<(Vec<Ipv4>, bool)>> = (0..9u8)
+            .map(|i| match i {
+                2 | 3 => None,
+                5 => Some((vec![], true)),
+                _ => Some((hops(&[[30, 0, 0, i % 3 + 1]]), false)),
+            })
+            .collect();
+        let order = TableOrder::new(&prefixes);
+        let (serial, built) = work_runs(&states, &prefixes);
+        let (mut merged, _) = work_runs(&states[..4], &prefixes[..4]);
+        let (tail, _) = work_runs(&states[4..], &prefixes[4..]);
+        merged.absorb(&tail, 4);
+        assert_eq!(merged.runs, serial.runs);
+        let (a, b) = (merged.into_fib(DeviceId(7), &order), built.finish());
+        assert_eq!(a, serial.into_fib(DeviceId(7), &order));
+        assert_eq!(a, b);
+        assert_eq!(a.content_hash(), b.content_hash());
+        assert_eq!(
+            a.prefixes().len(),
+            9,
+            "the shared table keeps absent prefixes"
+        );
+        assert_eq!(b.prefixes().len(), 7);
     }
 
     #[test]
     fn out_of_order_runs_and_absorbs_still_finish_sorted() {
-        // `finish` skips its sort only while every append kept the
-        // table canonical; a run or an absorbed builder that breaks the
-        // order must send it down the sorting path.
-        let sorted = |f: &Fib| {
-            f.entries()
-                .windows(2)
-                .all(|w| canonical_lt(w[0].prefix, w[1].prefix))
-        };
-        let mut b = FibBuilder::new(DeviceId(3));
-        let set = b.intern(hops(&[[30, 0, 0, 1]]));
-        b.extend_run(&[p("10.0.2.0/24"), p("10.0.1.0/24")], set, false);
-        let f = b.finish();
-        assert!(sorted(&f));
-        assert_eq!(f.len(), 2);
+        // A work list out of canonical order (and a builder pushed out
+        // of order) still finishes sorted: work-order runs go through
+        // the table's permutation, and both routes agree with each
+        // other, pool layout included.
+        let prefixes: Vec<Prefix> = [
+            "10.0.2.0/24",
+            "10.0.1.0/24",
+            "0.0.0.0/0",
+            "10.0.0.0/16",
+            "10.0.3.0/24",
+            "10.0.0.0/24",
+        ]
+        .iter()
+        .map(|s| p(s))
+        .collect();
+        let a = hops(&[[30, 0, 0, 1]]);
+        let states: Vec<Option<(Vec<Ipv4>, bool)>> = vec![
+            Some((a.clone(), false)),
+            Some((a.clone(), false)),
+            Some((a.clone(), false)),
+            Some((hops(&[[30, 0, 0, 5]]), false)),
+            None,
+            Some((vec![], true)),
+        ];
+        let order = TableOrder::new(&prefixes);
+        assert!(order.segments.len() > 1);
+        let (mut w, built) = work_runs(&states[..3], &prefixes[..3]);
+        let (tail, _) = work_runs(&states[3..], &prefixes[3..]);
+        w.absorb(&tail, 3);
+        let (_, all) = work_runs(&states, &prefixes);
+        let f = w.into_fib(DeviceId(7), &order);
+        assert_eq!(f, all.finish());
+        let lens: Vec<u8> = f.entries().map(|e| e.prefix.len()).collect();
+        assert_eq!(lens, vec![24, 24, 24, 16, 0]);
+        assert!(f
+            .entries()
+            .collect::<Vec<_>>()
+            .windows(2)
+            .all(|w| canonical_lt(w[0].prefix, w[1].prefix)));
+        // The two /24s on set `a` are adjacent in the table: one run.
+        assert_eq!(
+            f.runs()[1],
+            FibRun {
+                start: 1,
+                end: 3,
+                set: 0,
+                local: false
+            }
+        );
+        assert_eq!(built.len(), 3);
+    }
 
-        let mut w = FibBuilder::new(DeviceId(3));
-        w.push(p("10.0.0.0/24"), vec![], true);
-        let mut b = FibBuilder::new(DeviceId(3));
-        b.push(p("10.0.5.0/24"), vec![], true);
-        b.absorb(&w);
-        let f = b.finish();
-        assert!(sorted(&f));
-        assert_eq!(f.entries()[0].prefix, p("10.0.0.0/24"));
+    #[test]
+    fn patched_tables_match_rebuilt_ones() {
+        // Patching entries of a run-stored table splits and merges runs
+        // and renumbers the pool in first-use order: the result equals
+        // the table built from scratch in canonical order.
+        let prefixes: Vec<Prefix> = (0..6u8)
+            .map(|i| p(&format!("10.0.{i}.0/24")))
+            .chain([p("0.0.0.0/0")])
+            .collect();
+        let a = hops(&[[30, 0, 0, 1]]);
+        let z = hops(&[[30, 0, 0, 9]]);
+        let table = Arc::new(PrefixTable::shared(prefixes.clone()));
+        let base = Fib::from_runs(
+            DeviceId(1),
+            table,
+            vec![
+                FibRun {
+                    start: 0,
+                    end: 3,
+                    set: 0,
+                    local: false,
+                },
+                FibRun {
+                    start: 4,
+                    end: 7,
+                    set: 0,
+                    local: false,
+                },
+            ],
+            vec![a.clone()],
+        );
+        let built = |states: &[Option<(Vec<Ipv4>, bool)>]| {
+            let mut b = FibBuilder::new(DeviceId(1));
+            for (&pf, s) in prefixes.iter().zip(states) {
+                if let Some((h, l)) = s {
+                    b.push(pf, h.clone(), *l);
+                }
+            }
+            b.finish()
+        };
+        let some = |h: &Vec<Ipv4>| Some((h.clone(), false));
+        // Split a run with a novel set, fill the gap with the run's own
+        // set (merging both neighbors), drop the default.
+        let patched = base.patched(&[(1, some(&z)), (3, some(&a)), (6, None)]);
+        let expect = built(&[
+            some(&a),
+            some(&z),
+            some(&a),
+            some(&a),
+            some(&a),
+            some(&a),
+            None,
+        ]);
+        assert_eq!(patched, expect);
+        assert_eq!(patched.runs().len(), 3);
+        assert_eq!(patched.content_hash(), expect.content_hash());
+        let mut touched = Vec::new();
+        Fib::diff(&base, &patched, |pf, _, _| touched.push(pf));
+        assert_eq!(touched, vec![prefixes[1], prefixes[3], prefixes[6]]);
+        // A novel set used first takes pool id 0.
+        let patched = base.patched(&[(0, Some((z.clone(), true)))]);
+        assert_eq!(patched.entries().next().unwrap().set, 0);
+        assert_eq!(patched.set_pool_len(), 2);
+        let mut states = vec![some(&a); 7];
+        states[0] = Some((z, true));
+        states[3] = None;
+        assert_eq!(patched, built(&states));
+    }
+
+    #[test]
+    fn resident_bytes_count_a_shared_table_once() {
+        let table = Arc::new(PrefixTable::shared(
+            (0..100u8).map(|i| p(&format!("10.0.{i}.0/24"))).collect(),
+        ));
+        let fib = |d: u32| {
+            Fib::from_runs(
+                DeviceId(d),
+                table.clone(),
+                vec![FibRun {
+                    start: 0,
+                    end: 100,
+                    set: 0,
+                    local: false,
+                }],
+                vec![hops(&[[30, 0, 0, 1]])],
+            )
+        };
+        let one = Fib::resident_bytes(&[fib(0)]);
+        let two = Fib::resident_bytes(&[fib(0), fib(1)]);
+        assert!(two - one < one / 2, "the table must be counted once");
+        assert!(one > 100 * std::mem::size_of::<Prefix>());
     }
 
     #[test]

@@ -32,19 +32,19 @@
 //!   rare case, and only the affected prefixes pay for them.
 //!
 //! Changed FIBs are *spliced*, not rebuilt: a candidate device's new
-//! table copies the healthy entry sequence and recomputes only the
-//! affected prefixes, remapping interned set ids in first-use order —
-//! the same content-keyed order a from-scratch interner assigns — so
-//! the result, pool layout included, is bit-identical to a
-//! from-scratch `simulate` on the faulted topology at a fraction of
-//! the per-entry cost. The regression suite pins this for every
-//! single-link failure on a seeded Clos.
+//! table keeps the healthy runs over the shared prefix table, splits
+//! them at the affected prefixes only, and renumbers interned set ids
+//! in first-use order — the same content-keyed order a from-scratch
+//! interner assigns — so the result, pool layout included, is
+//! bit-identical to a from-scratch `simulate` on the faulted topology
+//! at a cost in runs, not entries. The regression suite pins this for
+//! every single-link failure on a seeded Clos.
 
 use crate::config::SimConfig;
-use crate::fib::{canonical_lt, Fib, FibBuilder, FibEntry};
+use crate::fib::{canonical_lt, Fib, Patch, TableOrder, WorkRuns, ABSENT, LOCAL};
 use crate::sim::{
-    emit_runs, expand_runs, hop_addrs, popcount, propagate, set_bits, words_eq, work_list, EmitRle,
-    Relaxation, SimNet, SimStats, INF,
+    emit_runs, hop_addrs, popcount, propagate, set_bits, words_eq, work_list, EmitRle, Relaxation,
+    SimNet, SimStats, INF,
 };
 use dctopo::{DeviceId, LinkId, LinkState, Topology};
 use netprim::{Ipv4, Prefix};
@@ -177,12 +177,14 @@ pub struct Baseline {
     work: Vec<(Prefix, Vec<DeviceId>)>,
     states: Vec<PrefixState>,
     healthy: Vec<Fib>,
+    /// The shared prefix table the healthy and scenario tables index.
+    order: TableOrder,
     /// The work list's prefixes are strictly canonical-ordered (the
-    /// generated fabrics always are), so a healthy table's entry
-    /// sequence is the work list filtered by reachability and the
-    /// patch splicer can walk both with one cursor. A non-canonical
-    /// work list (possible for hand-built topologies) falls back to
-    /// full per-device replay, which sorts in `finish`.
+    /// generated fabrics always are), so work index `k` is prefix-table
+    /// index `k` and pools in first-use order along the table are the
+    /// simulator's: the splicer patches healthy runs in place. A
+    /// non-canonical work list (possible for hand-built topologies)
+    /// falls back to full per-device replay in work order.
     canonical_work: bool,
 }
 
@@ -202,29 +204,24 @@ impl Baseline {
         // One pass does both jobs: snapshot each prefix's converged
         // state for the scenario patcher, and emit the healthy tables
         // through the simulator's own run-length path — the exact
-        // serial push sequence `simulate` performs, so the healthy
-        // FIBs are bit-identical by construction, not by replay.
+        // serial emission `simulate` performs, so the healthy FIBs are
+        // bit-identical by construction, not by replay.
         let mut relax = Relaxation::new(&net);
         let mut sim_stats = SimStats::default();
         let mut states = Vec::with_capacity(work.len());
         let mut rle = EmitRle::new(&net);
         let mut paths = PathIds::new(n);
-        let mut builders: Vec<FibBuilder> = topology
-            .devices()
-            .iter()
-            .map(|d| FibBuilder::new(d.id))
-            .collect();
         for (k, (prefix, origins)) in work.iter().enumerate() {
             relax.reset();
             propagate(&net, &mut relax, *prefix, origins, &mut sim_stats);
             let mut st = snapshot(&net, &relax);
             st.tie_free = paths.tie_break_free(&st, &relax.touched, &net, &bit_peer);
             states.push(st);
-            emit_runs(&net, &relax, k as u32, *prefix, &mut rle, &mut builders);
+            emit_runs(&net, &relax, k as u32, *prefix, &mut rle);
         }
         let prefixes: Vec<Prefix> = work.iter().map(|(p, _)| *p).collect();
-        expand_runs(&rle, &prefixes, &mut builders);
-        let healthy: Vec<Fib> = builders.into_iter().map(FibBuilder::finish).collect();
+        let order = TableOrder::new(&prefixes);
+        let healthy = rle.into_fibs(topology, &order);
         Baseline {
             topology: topology.clone(),
             config: config.clone(),
@@ -233,6 +230,7 @@ impl Baseline {
             work,
             states,
             healthy,
+            order,
             canonical_work,
         }
     }
@@ -406,8 +404,8 @@ impl Baseline {
 
         // Rebuild every candidate and keep only genuine changes. Live
         // candidates on a canonical work list take the splice path:
-        // copy the healthy entry run, recompute only affected
-        // prefixes, remap set ids. Everything else replays in full.
+        // keep the healthy runs, recompute only affected prefixes,
+        // renumber set ids. Everything else replays in full.
         let mut sorted: Vec<u32> = candidates.into_iter().collect();
         sorted.sort_unstable();
         let mut changed = Vec::new();
@@ -443,14 +441,12 @@ impl Baseline {
     }
 
     /// Splice one live candidate's scenario table out of its healthy
-    /// one: visit only the affected work indices (this device's
-    /// patches merged with the fallback prefixes), bulk-copying the
-    /// healthy entry run before each one — located by binary search in
-    /// canonical order — and recomputing just the affected emissions.
-    /// Set ids are remapped in first-use order of distinct content —
-    /// exactly the order a from-scratch interner assigns — so the
-    /// table is bit-identical to a full replay, pool layout included,
-    /// without hashing a single hop vector.
+    /// one: recompute only the affected work indices (this device's
+    /// patches merged with the fallback prefixes) and patch the
+    /// healthy runs there ([`Fib::patched`] splits and merges runs and
+    /// renumbers the pool in first-use order — the order a
+    /// from-scratch interner assigns), so the table is bit-identical to
+    /// a full replay, pool layout included.
     ///
     /// Returns `None` when every recomputed entry matches the healthy
     /// table (e.g. a cleared hop bit that ECMP truncation had already
@@ -465,108 +461,7 @@ impl Baseline {
     ) -> Option<(Fib, Vec<Prefix>)> {
         let du = d as usize;
         let healthy = &self.healthy[du];
-        let h_entries = healthy.entries();
-        let mut hi = 0usize;
-        let mut entries: Vec<FibEntry> = Vec::with_capacity(h_entries.len() + 1);
-        let mut sets: Vec<Vec<Ipv4>> = Vec::new();
-        // healthy pool id -> new pool id, assigned lazily at first use.
-        let mut h_map: Vec<u32> = vec![u32::MAX; healthy.set_pool_len()];
-        let mut touched: Vec<Prefix> = Vec::new();
-        // New-pool ids holding recomputed (non-healthy-origin)
-        // content. Healthy sets are pairwise distinct, so a healthy
-        // first-use can only collide with one of these — probing the
-        // whole pool per first-use would be quadratic in pool size.
-        let mut novel: Vec<u32> = Vec::new();
-        // Recomputed content can collide with anything already in the
-        // pool; calls are rare (one per divergent emission), so a
-        // linear scan is fine.
-        fn intern_vec(sets: &mut Vec<Vec<Ipv4>>, novel: &mut Vec<u32>, v: Vec<Ipv4>) -> u32 {
-            match sets.iter().position(|s| *s == v) {
-                Some(i) => i as u32,
-                None => {
-                    sets.push(v);
-                    let id = (sets.len() - 1) as u32;
-                    novel.push(id);
-                    id
-                }
-            }
-        }
-        fn map_healthy(
-            healthy: &Fib,
-            sets: &mut Vec<Vec<Ipv4>>,
-            h_map: &mut [u32],
-            novel: &[u32],
-            hid: u32,
-        ) -> u32 {
-            if h_map[hid as usize] != u32::MAX {
-                return h_map[hid as usize];
-            }
-            let content = healthy.set(hid);
-            let id = match novel.iter().find(|&&i| sets[i as usize] == content) {
-                Some(&i) => i,
-                None => {
-                    sets.push(content.to_vec());
-                    (sets.len() - 1) as u32
-                }
-            };
-            h_map[hid as usize] = id;
-            id
-        }
-        // Bulk-copy a healthy run after divergence. Most ids still map
-        // to themselves (divergence appends to or reuses the pool, it
-        // rarely reorders it), so maximal identity-mapped stretches go
-        // through memcpy and only the exceptions pay a per-entry remap.
-        fn copy_remapped(
-            healthy: &Fib,
-            sets: &mut Vec<Vec<Ipv4>>,
-            h_map: &mut [u32],
-            novel: &[u32],
-            entries: &mut Vec<FibEntry>,
-            run: &[FibEntry],
-        ) {
-            let mut j = 0usize;
-            while j < run.len() {
-                let start = j;
-                while j < run.len() && h_map[run[j].set as usize] == run[j].set {
-                    j += 1;
-                }
-                entries.extend_from_slice(&run[start..j]);
-                if j == run.len() {
-                    break;
-                }
-                let e = run[j];
-                let set = map_healthy(healthy, sets, h_map, novel, e.set);
-                entries.push(FibEntry { set, ..e });
-                j += 1;
-            }
-        }
-        // Until the first content divergence the new table is a
-        // verbatim prefix of the healthy one, so its pool first-use
-        // order matches and every set id maps to itself: entry runs
-        // are copied wholesale with no bookkeeping. The first
-        // divergence materializes the interner state by replaying the
-        // first-uses seen so far (an index probe per entry; the ids
-        // come out identity by construction).
-        let mut diverged = false;
-        fn diverge_now(
-            diverged: &mut bool,
-            entries: &[FibEntry],
-            healthy: &Fib,
-            sets: &mut Vec<Vec<Ipv4>>,
-            h_map: &mut [u32],
-        ) {
-            if *diverged {
-                return;
-            }
-            *diverged = true;
-            for e in entries {
-                if h_map[e.set as usize] == u32::MAX {
-                    debug_assert_eq!(sets.len() as u32, e.set, "verbatim prefix must map identity");
-                    h_map[e.set as usize] = sets.len() as u32;
-                    sets.push(healthy.set(e.set).to_vec());
-                }
-            }
-        }
+        let mut patches: Vec<Patch> = Vec::new();
         // Merge this device's patches with the fallback prefixes (both
         // ascending in work index, disjoint by construction).
         let (mut pi, mut fi) = (0usize, 0usize);
@@ -578,100 +473,68 @@ impl Baseline {
             }
             let (k, removed) = if np < nf {
                 pi += 1;
-                (np as usize, Some(patched[pi - 1].1.as_slice()))
+                (np, Some(patched[pi - 1].1.as_slice()))
             } else {
                 fi += 1;
-                (nf as usize, None)
+                (nf, None)
             };
-            let prefix = self.work[k].0;
-            // Bulk-copy the healthy run strictly before the affected
-            // prefix; only set ids can differ, and only after a novel
-            // set entered the pool.
-            let until = hi + h_entries[hi..].partition_point(|e| canonical_lt(e.prefix, prefix));
-            if diverged {
-                copy_remapped(healthy, &mut sets, &mut h_map, &novel, &mut entries, &h_entries[hi..until]);
-            } else {
-                entries.extend_from_slice(&h_entries[hi..until]);
-            }
-            hi = until;
-            let h_entry = h_entries.get(hi).filter(|e| e.prefix == prefix).copied();
+            let prefix = self.work[k as usize].0;
             // Recompute this device's faulted emission.
-            let cap = if prefix.is_default() {
-                self.net.default_cap[du]
-            } else {
-                self.net.ecmp_cap[du]
-            };
-            let (present, local, hops) = if let Some(bits_rm) = removed {
+            let cap = self.cap(du, prefix);
+            let state = match removed {
                 // Patch receivers kept other senders: still reached,
                 // never an origin.
-                (true, false, emit_hops(&self.states[k], du, bits_rm, cap, &self.net))
-            } else {
-                let st = &scen_states[&(k as u32)];
-                match st.best[du] {
-                    INF => (false, false, Vec::new()),
-                    0 => (true, true, Vec::new()),
-                    _ => (true, false, emit_hops(st, du, &[], cap, &self.net)),
+                Some(bits_rm) => {
+                    let st = &self.states[k as usize];
+                    Some((emit_hops(st, du, bits_rm, cap, &self.net), false))
                 }
-            };
-            match (h_entry, present) {
-                (Some(e), true) => {
-                    hi += 1;
-                    if e.local == local && healthy.next_hops(&e) == hops.as_slice() {
-                        // Recomputed to the same rule (e.g. the dead
-                        // bit was beyond the ECMP cap): copy through.
-                        if diverged {
-                            let set = map_healthy(healthy, &mut sets, &mut h_map, &novel, e.set);
-                            entries.push(FibEntry { set, ..e });
-                        } else {
-                            entries.push(e);
-                        }
-                    } else {
-                        diverge_now(&mut diverged, &entries, healthy, &mut sets, &mut h_map);
-                        touched.push(prefix);
-                        let set = intern_vec(&mut sets, &mut novel, hops);
-                        entries.push(FibEntry {
-                            prefix,
-                            set,
-                            local,
-                        });
+                None => {
+                    let st = &scen_states[&k];
+                    match st.best[du] {
+                        INF => None,
+                        0 => Some((Vec::new(), true)),
+                        _ => Some((emit_hops(st, du, &[], cap, &self.net), false)),
                     }
                 }
-                (Some(_), false) => {
-                    hi += 1;
-                    diverge_now(&mut diverged, &entries, healthy, &mut sets, &mut h_map);
-                    touched.push(prefix);
+            };
+            let unchanged = match (healthy.entry_at(k), &state) {
+                (Some(e), Some((hops, local))) => {
+                    e.local == *local && healthy.next_hops(e) == hops.as_slice()
                 }
-                (None, true) => {
-                    diverge_now(&mut diverged, &entries, healthy, &mut sets, &mut h_map);
-                    touched.push(prefix);
-                    let set = intern_vec(&mut sets, &mut novel, hops);
-                    entries.push(FibEntry {
-                        prefix,
-                        set,
-                        local,
-                    });
-                }
-                (None, false) => {}
+                (None, None) => true,
+                _ => false,
+            };
+            // Recomputed to the same rule (e.g. the dead bit was beyond
+            // the ECMP cap): nothing to patch.
+            if !unchanged {
+                patches.push((k, state));
             }
         }
-        if touched.is_empty() {
-            // Every affected emission recomputed to its healthy rule:
-            // the table is unchanged (and `entries` is still the
-            // verbatim copy — no interner state was ever needed).
+        if patches.is_empty() {
             return None;
         }
-        // Tail: every healthy entry after the last affected prefix.
-        copy_remapped(healthy, &mut sets, &mut h_map, &novel, &mut entries, &h_entries[hi..]);
-        Some((Fib::from_parts(DeviceId(d), entries, sets), touched))
+        let touched = patches
+            .iter()
+            .map(|&(k, _)| self.work[k as usize].0)
+            .collect();
+        Some((healthy.patched(&patches), touched))
+    }
+
+    /// ECMP width cap of device `du` for `prefix`.
+    fn cap(&self, du: usize, prefix: Prefix) -> u32 {
+        if prefix.is_default() {
+            self.net.default_cap[du]
+        } else {
+            self.net.ecmp_cap[du]
+        }
     }
 
     /// Rebuild one device's table by replaying the canonical emission
     /// order over (healthy | patched | re-propagated | dead) per-prefix
-    /// states — the same push sequence `simulate` performs, so the
-    /// finished table matches it bit-for-bit. The slow exact path,
-    /// kept for dead devices (tiny tables) and non-canonical work
-    /// lists; live candidates normally take
-    /// [`splice_device`](Self::splice_device).
+    /// states — the same emission `simulate` performs, so the finished
+    /// table matches it bit-for-bit. The slow exact path, kept for dead
+    /// devices and non-canonical work lists; live candidates normally
+    /// take [`splice_device`](Self::splice_device).
     fn replay_device(
         &self,
         d: u32,
@@ -680,7 +543,7 @@ impl Baseline {
         patched: &[(u32, Vec<u16>)],
     ) -> Fib {
         let du = d as usize;
-        let mut builder = FibBuilder::new(DeviceId(d));
+        let mut runs = WorkRuns::default();
         const NO_REMOVALS: &[u16] = &[];
         let mut pi = 0usize;
         for (k, (prefix, origins)) in self.work.iter().enumerate() {
@@ -691,27 +554,29 @@ impl Baseline {
                 }
                 _ => NO_REMOVALS,
             };
-            if dead {
+            let code = if dead {
                 // A dead device keeps originating its hosted prefixes
                 // locally (its from-scratch faulted run has best == 0
                 // there and INF everywhere else).
                 if origins.contains(&DeviceId(d)) {
-                    builder.push(*prefix, Vec::new(), true);
+                    LOCAL | runs.intern(Vec::new())
+                } else {
+                    ABSENT
                 }
-                continue;
-            }
-            let cap = if prefix.is_default() {
-                self.net.default_cap[du]
             } else {
-                self.net.ecmp_cap[du]
+                let (st, removed) = match scen_states.get(&(k as u32)) {
+                    Some(st) => (st, NO_REMOVALS),
+                    None => (&self.states[k], removed),
+                };
+                match st.best[du] {
+                    INF => ABSENT,
+                    0 => LOCAL | runs.intern(Vec::new()),
+                    _ => runs.intern(emit_hops(st, du, removed, self.cap(du, *prefix), &self.net)),
+                }
             };
-            let (st, removed) = match scen_states.get(&(k as u32)) {
-                Some(st) => (st, NO_REMOVALS),
-                None => (&self.states[k], removed),
-            };
-            push_state(&mut builder, st, du, *prefix, cap, removed, &self.net);
+            runs.set(k as u32, code);
         }
-        builder.finish()
+        runs.into_fib(DeviceId(d), &self.order)
     }
 }
 
@@ -751,41 +616,13 @@ fn bit_peers(topology: &Topology, net: &SimNet) -> Vec<Vec<u32>> {
     bit_peer
 }
 
-/// The prefixes on which two canonical-ordered tables disagree
-/// (present on one side only, or differing in locality or next hops),
-/// in canonical entry order — the slow-path counterpart of the
-/// bookkeeping [`Baseline::splice_device`] does inline.
+/// The prefixes on which two tables disagree (present on one side
+/// only, or differing in locality or next hops), in canonical entry
+/// order — the slow-path counterpart of the bookkeeping
+/// [`Baseline::splice_device`] does inline.
 fn diff_prefixes(old: &Fib, new: &Fib) -> Vec<Prefix> {
-    let (a, b) = (old.entries(), new.entries());
-    let (mut i, mut j) = (0usize, 0usize);
     let mut out = Vec::new();
-    while i < a.len() && j < b.len() {
-        let (x, y) = (&a[i], &b[j]);
-        let ord = y
-            .prefix
-            .len()
-            .cmp(&x.prefix.len())
-            .then(x.prefix.addr().cmp(&y.prefix.addr()));
-        match ord {
-            std::cmp::Ordering::Equal => {
-                if x.local != y.local || old.next_hops(x) != new.next_hops(y) {
-                    out.push(x.prefix);
-                }
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                out.push(x.prefix);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(y.prefix);
-                j += 1;
-            }
-        }
-    }
-    out.extend(a[i..].iter().map(|e| e.prefix));
-    out.extend(b[j..].iter().map(|e| e.prefix));
+    Fib::diff(old, new, |p, _, _| out.push(p));
     out
 }
 
@@ -803,25 +640,6 @@ fn snapshot(net: &SimNet, relax: &Relaxation) -> PrefixState {
         parent: relax.parent.iter().map(|p| p.0).collect(),
         hops,
         tie_free: false,
-    }
-}
-
-/// Emit one device's entry for one prefix from a snapshotted state,
-/// with `removed` neighbor-table bits cleared from its hop set —
-/// the simulator's emission (sorted hops, cap truncation).
-fn push_state(
-    builder: &mut FibBuilder,
-    st: &PrefixState,
-    du: usize,
-    prefix: Prefix,
-    cap: u32,
-    removed: &[u16],
-    net: &SimNet,
-) {
-    match st.best[du] {
-        INF => {}
-        0 => builder.push(prefix, Vec::new(), true),
-        _ => builder.push(prefix, emit_hops(st, du, removed, cap, net), false),
     }
 }
 

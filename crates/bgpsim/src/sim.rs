@@ -17,7 +17,7 @@
 //! path allocation across the ~10⁸ relaxations of a 10⁴-router run.
 
 use crate::config::SimConfig;
-use crate::fib::{Fib, FibBuilder};
+use crate::fib::{Fib, TableOrder, WorkRuns, ABSENT, LOCAL};
 use dctopo::{Asn, DeviceId, Role, Topology};
 use netprim::{Ipv4, Prefix};
 
@@ -219,29 +219,20 @@ pub(crate) fn hop_addrs(words: &[u64], table: &[Ipv4], removed: &[u16], cap: u32
         .collect()
 }
 
-/// A device's forwarding state for one prefix, encoded as a run code:
-/// absent (no route), a local/origin entry, or an interned hop-set id.
-/// Set ids stay below the flag bits.
-const RUN_ABSENT: u32 = u32::MAX;
-const RUN_LOCAL: u32 = 1 << 31;
-
 /// Run-length-encoded emit state. A device's FIB over the chunk's
 /// prefix sequence is long stretches of one state (a ToR forwards every
 /// remote /24 over the same leaf ECMP set), so the emit path records
-/// only state *changes* — a handful of runs per device — and expands
-/// them into entries per device afterwards. The per-(prefix, device)
-/// work drops to a sequential mask compare, and the entry writes become
-/// per-device streaming appends instead of 10⁴ scattered pushes per
-/// prefix. Expansion replays the exact per-prefix push sequence,
-/// interned pool layout included, because a set is interned at its
-/// run's start — the same first-use moment at which per-prefix pushes
-/// would have interned it.
+/// only state *changes* — a handful of runs per device — and those runs
+/// become the finished table's runs directly. The per-(prefix, device)
+/// work is a sequential mask compare. A set is interned at its run's
+/// start — the first-use moment a per-prefix push would intern it — so
+/// the pool layout is the one per-entry construction gives.
 pub(crate) struct EmitRle {
-    /// Per device: (chunk-local prefix index where the run starts, run
-    /// code). A run ends where the next begins, or at the chunk's end.
-    /// Devices implicitly start in an absent run at index 0.
-    runs: Vec<Vec<(u32, u32)>>,
-    /// Per device: the current (latest) run's code.
+    /// Per device: its runs over chunk-local prefix indices (codes
+    /// [`ABSENT`], [`LOCAL`] | set id, or a set id) and its set pool.
+    pub(crate) devices: Vec<WorkRuns>,
+    /// Per device: the current (latest) run's code, kept dense for the
+    /// emit loop's sequential scan.
     last_code: Vec<u32>,
     /// Per device, in [`SimNet::word_off`] layout: the current run's
     /// hop mask, valid when `last_code` is a set id (post-truncation,
@@ -255,11 +246,20 @@ impl EmitRle {
     pub(crate) fn new(net: &SimNet) -> EmitRle {
         let n = net.asn.len();
         EmitRle {
-            runs: vec![Vec::new(); n],
-            last_code: vec![RUN_ABSENT; n],
+            devices: (0..n).map(|_| WorkRuns::default()).collect(),
+            last_code: vec![ABSENT; n],
             mask: vec![0; net.words()],
             capped: Vec::new(),
         }
+    }
+
+    /// One table per device, over `order`'s shared prefix table.
+    pub(crate) fn into_fibs(self, topology: &Topology, order: &TableOrder) -> Vec<Fib> {
+        self.devices
+            .into_iter()
+            .zip(topology.devices())
+            .map(|(runs, d)| runs.into_fib(d.id, order))
+            .collect()
     }
 }
 
@@ -456,12 +456,7 @@ pub fn simulate_with(
     let net = SimNet::build(topology, config);
     let work = work_list(topology);
 
-    let run_chunk = |chunk: &[(Prefix, Vec<DeviceId>)]| -> (Vec<FibBuilder>, SimStats) {
-        let mut builders: Vec<FibBuilder> = topology
-            .devices()
-            .iter()
-            .map(|d| FibBuilder::new(d.id))
-            .collect();
+    let run_chunk = |chunk: &[(Prefix, Vec<DeviceId>)]| -> (EmitRle, SimStats) {
         let mut relax = Relaxation::new(&net);
         let mut rle = EmitRle::new(&net);
         let mut stats = SimStats {
@@ -471,25 +466,23 @@ pub fn simulate_with(
         for (k, (prefix, origins)) in chunk.iter().enumerate() {
             relax.reset();
             propagate(&net, &mut relax, *prefix, origins, &mut stats);
-            emit_runs(&net, &relax, k as u32, *prefix, &mut rle, &mut builders);
+            emit_runs(&net, &relax, k as u32, *prefix, &mut rle);
         }
-        let prefixes: Vec<Prefix> = chunk.iter().map(|(p, _)| *p).collect();
-        expand_runs(&rle, &prefixes, &mut builders);
-        (builders, stats)
+        (rle, stats)
     };
 
     let threads = opts.threads.max(1).min(work.len().max(1));
-    let (builders, stats) = if threads <= 1 {
+    let (rle, stats) = if threads <= 1 {
         run_chunk(&work)
     } else {
         // Chunk the prefix list across scoped workers — the same
         // static-partition idiom as the validation runner. Each worker
-        // converges its prefixes into private per-device partial
-        // builders; absorbing the workers in chunk order replays the
-        // exact serial push sequence, so the merged tables (interned
-        // pool layout included) are bit-identical to a 1-thread run.
+        // converges its prefixes into private per-device runs;
+        // absorbing the workers in chunk order gives the serial runs,
+        // so the merged tables (interned pool layout included) are
+        // bit-identical to a 1-thread run.
         let chunk_size = work.len().div_ceil(threads);
-        let results: Vec<(Vec<FibBuilder>, SimStats)> = std::thread::scope(|scope| {
+        let results: Vec<(EmitRle, SimStats)> = std::thread::scope(|scope| {
             let handles: Vec<_> = work
                 .chunks(chunk_size)
                 .map(|chunk| scope.spawn(|| run_chunk(chunk)))
@@ -497,27 +490,25 @@ pub fn simulate_with(
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         let mut results = results.into_iter();
-        let (mut builders, mut stats) = results.next().expect("at least one chunk");
-        for (worker_builders, worker_stats) in results {
-            for (dst, src) in builders.iter_mut().zip(&worker_builders) {
-                dst.absorb(src);
+        let (mut rle, mut stats) = results.next().expect("at least one chunk");
+        for (i, (worker, worker_stats)) in results.enumerate() {
+            let offset = ((i + 1) * chunk_size) as u32;
+            for (dst, src) in rle.devices.iter_mut().zip(&worker.devices) {
+                dst.absorb(src, offset);
             }
             stats.absorb(&worker_stats);
         }
-        (builders, stats)
+        (rle, stats)
     };
-
-    (
-        builders.into_iter().map(FibBuilder::finish).collect(),
-        stats,
-    )
+    let prefixes: Vec<Prefix> = work.iter().map(|(p, _)| *p).collect();
+    (rle.into_fibs(topology, &TableOrder::new(&prefixes)), stats)
 }
 
 /// The canonical simulation work list: every hosted prefix (origin: its
 /// ToR) and the default route (origins: all regional spines), in the
 /// order every convergence path — serial, parallel, and restart —
-/// processes them. Push order over this list fixes the FIB layout, so
-/// replaying it reproduces tables bit-for-bit.
+/// processes them. Emission order over this list fixes the pool
+/// layout, so replaying it reproduces tables bit-for-bit.
 pub(crate) fn work_list(topology: &Topology) -> Vec<(Prefix, Vec<DeviceId>)> {
     let mut work: Vec<(Prefix, Vec<DeviceId>)> = topology
         .all_hosted()
@@ -658,27 +649,26 @@ pub(crate) fn propagate(
 /// Devices are scanned in id order rather than BFS-touch order: the
 /// reached set is nearly every device, and ascending ids make every
 /// array access here a sequential stream. Each device still yields
-/// exactly one state per prefix, so the expanded push sequence — and
-/// therefore the finished table — is unchanged.
+/// exactly one state per prefix, so the runs — and therefore the
+/// finished table — are unchanged.
 pub(crate) fn emit_runs(
     net: &SimNet,
     relax: &Relaxation,
     k: u32,
     prefix: Prefix,
     rle: &mut EmitRle,
-    builders: &mut [FibBuilder],
 ) {
-    let caps = if prefix.is_default() {
-        &net.default_cap
-    } else {
+    let caps_specific = !prefix.is_default();
+    let caps = if caps_specific {
         &net.ecmp_cap
+    } else {
+        &net.default_cap
     };
-    for du in 0..relax.best.len() {
-        let len = relax.best[du];
+    for (du, &len) in relax.best.iter().enumerate() {
         if len == INF {
-            if rle.last_code[du] != RUN_ABSENT {
-                rle.runs[du].push((k, RUN_ABSENT));
-                rle.last_code[du] = RUN_ABSENT;
+            if rle.last_code[du] != ABSENT {
+                rle.devices[du].set(k, ABSENT);
+                rle.last_code[du] = ABSENT;
             }
             continue;
         }
@@ -687,17 +677,28 @@ pub(crate) fn emit_runs(
             // Regional spines originate the default (modeled as local
             // too: it points out of the datacenter). Local entries all
             // share the empty hop set, so any local run continues.
-            if rle.last_code[du] != RUN_ABSENT && rle.last_code[du] & RUN_LOCAL != 0 {
+            if rle.last_code[du] != ABSENT && rle.last_code[du] & LOCAL != 0 {
                 continue;
             }
-            let id = builders[du].intern(Vec::new());
-            let code = RUN_LOCAL | id;
-            rle.runs[du].push((k, code));
+            let code = LOCAL | rle.devices[du].intern(Vec::new());
+            rle.devices[du].set(k, code);
             rle.last_code[du] = code;
             continue;
         }
         let span = net.span(du);
         let words = &relax.hops[span.clone()];
+        // Run continues only while the device stays in a plain-set
+        // state with an identical post-truncation mask; the stored
+        // mask is stale after a local/absent interlude, and
+        // `last_code`'s flag bits reject exactly those cases.
+        let plain = rle.last_code[du] < LOCAL;
+        // A stored mask fits under the specific-route cap (the default
+        // cap is never larger), so for a specific prefix raw words
+        // equal to it truncate to themselves: the common continuing
+        // run skips the cap.
+        if plain && caps_specific && words_eq(&rle.mask[span.clone()], words) {
+            continue;
+        }
         // Truncating to the `cap` lowest bits keeps the `cap` smallest
         // addresses — a sort + truncate of the address vector. Uncapped
         // devices (the overwhelming majority) skip the popcount.
@@ -710,47 +711,13 @@ pub(crate) fn emit_runs(
         } else {
             words
         };
-        // Run continues only while the device stays in a plain-set
-        // state with an identical post-truncation mask; the stored
-        // mask is stale after a local/absent interlude, and
-        // `last_code`'s flag bits reject exactly those cases.
-        if rle.last_code[du] < RUN_LOCAL && words_eq(&rle.mask[span.clone()], mask) {
+        if plain && words_eq(&rle.mask[span.clone()], mask) {
             continue;
         }
-        let id = builders[du].intern(hop_addrs(mask, &net.addr_table[du], &[], u32::MAX));
+        let id = rle.devices[du].intern(hop_addrs(mask, &net.addr_table[du], &[], u32::MAX));
         rle.mask[span].copy_from_slice(mask);
-        rle.runs[du].push((k, id));
+        rle.devices[du].set(k, id);
         rle.last_code[du] = id;
-    }
-}
-
-/// Expand every device's runs into its builder, in prefix order —
-/// replaying exactly the per-prefix push sequence the runs encode.
-pub(crate) fn expand_runs(rle: &EmitRle, prefixes: &[Prefix], builders: &mut [FibBuilder]) {
-    for (du, runs) in rle.runs.iter().enumerate() {
-        let span = |ri: usize, k0: u32| -> std::ops::Range<usize> {
-            let k1 = runs
-                .get(ri + 1)
-                .map_or(prefixes.len(), |&(k, _)| k as usize);
-            k0 as usize..k1
-        };
-        // One exact reservation per device: growth reallocations over
-        // 10⁴ builders × 10⁴ entries otherwise dominate the expansion.
-        let total: usize = runs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(_, code))| code != RUN_ABSENT)
-            .map(|(ri, &(k0, _))| span(ri, k0).len())
-            .sum();
-        builders[du].reserve(total);
-        for (ri, &(k0, code)) in runs.iter().enumerate() {
-            if code == RUN_ABSENT {
-                continue;
-            }
-            let local = code & RUN_LOCAL != 0;
-            let id = code & !RUN_LOCAL;
-            builders[du].extend_run(&prefixes[span(ri, k0)], id, local);
-        }
     }
 }
 

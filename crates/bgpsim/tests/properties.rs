@@ -1,10 +1,13 @@
 //! Property-based tests for the BGP simulator: structural invariants
 //! that must hold for every generated topology and fault set.
 
-use bgpsim::{simulate, simulate_with, Baseline, SimConfig, SimOptions};
+use bgpsim::{
+    simulate, simulate_with, Baseline, FaultSpec, Fib, FibBuilder, FibEntry, SimConfig, SimOptions,
+};
 use dctopo::{
     build_clos, ClosParams, DeviceId, LinkId, LinkState, MetadataService, Role, Topology,
 };
+use netprim::{Ipv4, Prefix};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = ClosParams> {
@@ -52,8 +55,97 @@ fn faulted(params: &ClosParams, seed: u64) -> (Topology, SimConfig) {
     (topology, config)
 }
 
+/// Same entries in the same order: prefixes, locality and next-hop
+/// sets, whatever the pool ids or prefix tables.
+fn same_entries(a: &Fib, b: &Fib) -> bool {
+    a.device() == b.device()
+        && a.len() == b.len()
+        && a.entries().zip(b.entries()).all(|(x, y)| {
+            x.prefix == y.prefix && x.local == y.local && a.next_hops(x) == b.next_hops(y)
+        })
+}
+
+/// A rewrite of one entry and its next hops.
+type Edit = dyn Fn(&mut FibEntry, &mut Vec<Ipv4>);
+
+/// `fib`'s entries pushed into a builder in the given order, with one
+/// entry (by position) rewritten by `edit`.
+fn rebuilt(fib: &Fib, order: &[usize], edit: Option<(usize, &Edit)>) -> Fib {
+    let entries: Vec<FibEntry> = fib.entries().collect();
+    let mut b = FibBuilder::new(fib.device());
+    for &i in order {
+        let mut e = entries[i];
+        let mut hops = fib.next_hops(e).to_vec();
+        if let Some((at, f)) = edit {
+            if at == i {
+                f(&mut e, &mut hops);
+            }
+        }
+        b.push(e.prefix, hops, e.local);
+    }
+    b.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn every_build_route_gives_the_simulated_table(
+        params in arb_params(),
+        fault_seed in any::<u64>(),
+    ) {
+        // Simulation stores runs over one shared prefix table; wire
+        // decode, delta application and builder pushes store entries
+        // over private tables; restart splices runs. All of them must
+        // agree on the entries and on the content hash — and the
+        // routes that keep first-use pool order must agree exactly.
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let (topology, config) = faulted(&params, fault_seed);
+        let fibs = simulate(&topology, &config);
+        let clean = build_clos(&params);
+        let healthy = simulate(&clean, &config);
+        let base = Baseline::converge(&clean, &config);
+        let downed = topology.links().iter().filter(|l| !l.state.session_up()).map(|l| l.id);
+        let spliced = base.resimulate(&FaultSpec::links(downed)).splice(base.healthy_fibs());
+        prop_assert_eq!(&spliced, &fibs);
+        let mut rng = StdRng::seed_from_u64(fault_seed);
+        for (fib, old) in fibs.iter().zip(&healthy) {
+            let hash = fib.content_hash();
+            let wired = Fib::from_wire(&fib.to_wire()).unwrap();
+            prop_assert_eq!(&wired, fib);
+            prop_assert_eq!(wired.content_hash(), hash);
+            let applied = old.apply_delta(&Fib::delta(old, fib)).unwrap();
+            prop_assert!(same_entries(&applied, fib));
+            prop_assert_eq!(applied.content_hash(), hash);
+            let mut order: Vec<usize> = (0..fib.len()).collect();
+            order.shuffle(&mut rng);
+            let shuffled = rebuilt(fib, &order, None);
+            prop_assert!(same_entries(&shuffled, fib));
+            prop_assert_eq!(shuffled.content_hash(), hash);
+            if fib.is_empty() {
+                continue;
+            }
+            // One entry's locality, one of its next-hop addresses, or
+            // its prefix changed: the hash must see it.
+            let at = rng.gen_range(0..fib.len());
+            let flip_local = |e: &mut FibEntry, _: &mut Vec<Ipv4>| e.local = !e.local;
+            let swap_hop = |_: &mut FibEntry, hops: &mut Vec<Ipv4>| match hops.first_mut() {
+                Some(h) => h.0 ^= 1,
+                None => hops.push(Ipv4(1)),
+            };
+            let host = |e: &mut FibEntry, _: &mut Vec<Ipv4>| {
+                e.prefix = Prefix::containing(e.prefix.addr(), 32).unwrap();
+            };
+            let sorted: Vec<usize> = (0..fib.len()).collect();
+            for edit in [&flip_local as &Edit, &swap_hop, &host] {
+                let changed = rebuilt(fib, &sorted, Some((at, edit)));
+                prop_assert!(!same_entries(&changed, fib));
+                prop_assert_ne!(changed.content_hash(), hash);
+            }
+        }
+    }
 
     #[test]
     fn simulator_matches_reference_on_faulted_fabrics(

@@ -108,7 +108,7 @@ impl DeviceEncoding {
         let mut policy = a.fls();
         // Entries are sorted by descending prefix length; build the
         // ite chain inside-out (shortest prefix innermost).
-        for e in fib.entries().iter().rev() {
+        for e in fib.entries().rev() {
             let guard = a.in_range(x, e.prefix.first().0 as u64, e.prefix.last().0 as u64);
             let meaning = if e.local {
                 // Local delivery is modeled as its own "port".

@@ -5,12 +5,15 @@
 //! **The FIB side.** FIB entries sorted by `(address, length)` are
 //! exactly a DFS preorder of the rule containment forest: two prefixes
 //! are either nested or disjoint, so every rule's descendants follow
-//! it contiguously. The FIB stores entries by (descending length,
-//! ascending address), so each length run is already ascending in that
-//! order, and preorder is their k-way merge (two runs in a fabric
-//! table: the /24s and the default). [`FibWalk`] merges them lazily:
-//! one forward-only cursor per length run, each parked at the first
-//! rule not preceding the current contract. No node arena is built.
+//! it contiguously. The FIB stores runs over a prefix table sorted by
+//! (descending length, ascending address), so each length's rules are
+//! already ascending in that order, and preorder is their k-way merge
+//! (two lengths in a fabric table: the /24s and the default).
+//! [`FibWalk`] merges them lazily: one forward-only cursor per length,
+//! each parked at the first rule not preceding the current contract.
+//! No node arena is built, and no entry is materialized: a length's
+//! rules are the FIB's runs clipped to the table's stretch of that
+//! length.
 //! A contract's candidates `{r | C ⊆ r ∨ r ⊆ C}` fall out of the
 //! cursors: per longer-or-equal run, the rules from the cursor up to
 //! the contract's end (its descendants); per shorter run, the rule just
@@ -24,13 +27,13 @@
 //! fabric, and cuts them into [`Stretch`]es: contracts adjacent in that
 //! order that share one expectation run and hold no excluded slot. A
 //! stretch whose contracts each hit an exact rule with no nested rule
-//! — consecutive rules of one length run, none local, all on one
+//! — consecutive rules of one FIB run, so not local and all on one
 //! interned next-hop set — is judged by one hop-set comparison (the
 //! intent-based slicing idea: contracts sharing structure share the
 //! work). At the 10⁴-router shape that is ~10⁵ comparisons for ~10⁸
-//! contracts; the per-contract cost is a key and set-id compare in one
-//! tight loop. Every other contract — a missing exact rule, nested or
-//! shadowing rules, a local rule, a `Local` expectation, a duplicate
+//! contracts; set id and locality are checked once per run, and the
+//! per-contract cost is one DFS-key compare in a tight loop. Every
+//! other contract — a missing exact rule, nested or shadowing rules, a local rule, a `Local` expectation, a duplicate
 //! prefix — goes through [`judge_one`](TrieEngine::judge_one) with its
 //! candidates from the same walk. Judging order (descending prefix
 //! length per contract) and the cross-contract `MissingRoute` dedup are
@@ -54,53 +57,92 @@
 use crate::contracts::{dfs_key, ContractKind, ContractRef, DeviceContracts, Expectation, Stretch};
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
-use bgpsim::{Fib, FibEntry};
+use bgpsim::{Fib, FibEntry, FibRun};
 use netprim::wire::FibDelta;
 use netprim::{HopSet, IpRange, Ipv4, Prefix};
 use std::collections::HashMap;
 
-/// One length run of a FIB's entries (one prefix length, ascending
-/// address) with its walk cursor.
+/// One prefix length's rules of a FIB: `spans[first..end]` of
+/// [`FibWalk::spans`], with the walk cursor.
 struct LenRun {
     len: u8,
-    start: u32,
-    /// First rule of the run not preceding the current contract in
-    /// DFS preorder.
+    first: usize,
+    end: usize,
+    /// Span and table index of the first rule not preceding the
+    /// current contract in DFS preorder; exhausted when `span == end`.
+    span: usize,
     cur: u32,
-    end: u32,
 }
 
-/// Length runs of a FIB in storage order: descending prefix length.
-fn length_runs(entries: &[FibEntry]) -> Vec<LenRun> {
-    let mut runs = Vec::new();
-    let mut start = 0usize;
-    while start < entries.len() {
-        let len = entries[start].prefix.len();
-        let end = start + entries[start..].partition_point(|e| e.prefix.len() == len);
-        runs.push(LenRun {
-            len,
-            start: start as u32,
-            cur: start as u32,
-            end: end as u32,
-        });
-        start = end;
-    }
-    runs
-}
-
-/// A FIB's rules in DFS preorder, merged lazily from its length runs
-/// as the contracts advance (see the module doc). Contracts must be
-/// fed in DFS preorder; every cursor only moves forward.
+/// A FIB's rules in DFS preorder, merged lazily from its per-length
+/// rules as the contracts advance (see the module doc). Contracts must
+/// be fed in DFS preorder; every cursor only moves forward.
 struct FibWalk<'f> {
-    entries: &'f [FibEntry],
-    runs: Vec<LenRun>,
+    table: &'f [Prefix],
+    /// The FIB's runs clipped to the table's per-length stretches,
+    /// longest length first.
+    spans: Vec<FibRun>,
+    lens: Vec<LenRun>,
 }
 
 impl<'f> FibWalk<'f> {
     fn new(fib: &'f Fib) -> FibWalk<'f> {
-        FibWalk {
-            entries: fib.entries(),
-            runs: length_runs(fib.entries()),
+        let table = fib.prefixes();
+        let runs = fib.runs();
+        let mut spans = Vec::with_capacity(runs.len() + 1);
+        let mut lens = Vec::new();
+        let (mut start, mut r) = (0usize, 0usize);
+        while start < table.len() && r < runs.len() {
+            let len = table[start].len();
+            let end = start + table[start..].partition_point(|p| p.len() == len);
+            let first = spans.len();
+            let (lo, hi) = (start as u32, end as u32);
+            while r < runs.len() && runs[r].start < hi {
+                let clipped = FibRun {
+                    start: runs[r].start.max(lo),
+                    end: runs[r].end.min(hi),
+                    ..runs[r]
+                };
+                if clipped.start < clipped.end {
+                    spans.push(clipped);
+                }
+                if runs[r].end > hi {
+                    break;
+                }
+                r += 1;
+            }
+            if spans.len() > first {
+                lens.push(LenRun {
+                    len,
+                    first,
+                    end: spans.len(),
+                    span: first,
+                    cur: spans[first].start,
+                });
+            }
+            start = end;
+        }
+        FibWalk { table, spans, lens }
+    }
+
+    /// The rule at table index `t` of span `span`.
+    fn rule(&self, span: usize, t: u32) -> FibEntry {
+        let s = &self.spans[span];
+        FibEntry {
+            prefix: self.table[t as usize],
+            set: s.set,
+            local: s.local,
+        }
+    }
+
+    /// The last rule of a length preceding its cursor, if any.
+    fn before_cursor(&self, l: &LenRun) -> Option<FibEntry> {
+        if l.span < l.end && l.cur > self.spans[l.span].start {
+            Some(self.rule(l.span, l.cur - 1))
+        } else if l.span > l.first {
+            Some(self.rule(l.span - 1, self.spans[l.span - 1].end - 1))
+        } else {
+            None
         }
     }
 
@@ -108,65 +150,91 @@ impl<'f> FibWalk<'f> {
     /// A consumed rule that does not contain the contract is disjoint
     /// from it and from every later contract.
     fn advance(&mut self, key: u64) {
-        for r in &mut self.runs {
-            while r.cur < r.end && dfs_key(self.entries[r.cur as usize].prefix) < key {
-                r.cur += 1;
+        for l in &mut self.lens {
+            while l.span < l.end {
+                let s = &self.spans[l.span];
+                let rest = &self.table[l.cur as usize..s.end as usize];
+                let skip = if dfs_key(rest[0]) >= key {
+                    0
+                } else {
+                    rest.partition_point(|&p| dfs_key(p) < key)
+                };
+                if skip < rest.len() {
+                    l.cur += skip as u32;
+                    break;
+                }
+                l.span += 1;
+                if l.span < l.end {
+                    l.cur = self.spans[l.span].start;
+                }
             }
         }
     }
 
     /// After [`advance`](Self::advance) to `dfs[0]`: how many leading
     /// contracts of `dfs` (all of one stretch) each hit an exact rule
-    /// with no rule nested inside it, on consecutive non-local rules of
-    /// one interned next-hop set. Returns the first rule's index and
-    /// the count, and leaves the run's cursor on the last rule hit (a
-    /// duplicate contract may still need it).
-    fn exact_stretch(&mut self, dfs: &[(u64, u32)]) -> Option<(usize, usize)> {
+    /// with no rule nested inside it, on consecutive rules of one
+    /// non-local run. Returns the first rule and the count, and leaves
+    /// the length's cursor on the last rule hit (a duplicate contract
+    /// may still need it).
+    fn exact_stretch(&mut self, dfs: &[(u64, u32)]) -> Option<(FibEntry, usize)> {
         let key = dfs[0].0;
         let len = (key & 63) as u8;
-        let r = self.runs.iter().position(|r| r.len == len)?;
-        let (first, end) = (self.runs[r].cur as usize, self.runs[r].end as usize);
-        let head = self.entries[first..end].first()?;
+        let r = self.lens.iter().position(|l| l.len == len)?;
+        let l = &self.lens[r];
+        if l.span == l.end || self.spans[l.span].local {
+            return None;
+        }
+        let (first, end) = (l.cur, self.spans[l.span].end);
         // A longer rule nests in a contract only if it starts before
-        // the contract ends; each longer run's next rule bounds the
-        // stretch (runs are stored longest first).
-        let bound = self.runs[..r]
+        // the contract ends; each longer length's next rule bounds the
+        // stretch (lengths are kept longest first).
+        let bound = self.lens[..r]
             .iter()
-            .filter(|l| l.cur < l.end)
-            .map(|l| u64::from(self.entries[l.cur as usize].prefix.addr().0))
+            .filter(|l| l.span < l.end)
+            .map(|l| u64::from(self.table[l.cur as usize].addr().0))
             .min()
             .unwrap_or(u64::MAX);
         let size = 1u64 << (32 - len);
-        let set = head.set;
         let n = dfs
             .iter()
-            .zip(&self.entries[first..end])
-            .take_while(|&(&(k, _), e)| {
-                k == dfs_key(e.prefix) && e.set == set && !e.local && (k >> 6) + size <= bound
-            })
+            .zip(&self.table[first as usize..end as usize])
+            .take_while(|&(&(k, _), &p)| k == dfs_key(p) && (k >> 6) + size <= bound)
             .count();
         if n == 0 {
             return None;
         }
-        self.runs[r].cur = (first + n - 1) as u32;
-        Some((first, n))
+        let head = self.rule(self.lens[r].span, first);
+        self.lens[r].cur = first + n as u32 - 1;
+        Some((head, n))
     }
 
     /// Candidate rules of contract `c` after [`advance`](Self::advance)
     /// to it: `desc` gets the rules it contains, `anc` the rules
     /// strictly containing it, leaf to root.
-    fn candidates(&self, c: Prefix, desc: &mut Vec<u32>, anc: &mut Vec<u32>) {
+    fn candidates(&self, c: Prefix, desc: &mut Vec<FibEntry>, anc: &mut Vec<FibEntry>) {
         let c_end = u64::from(c.addr().0) + (1u64 << (32 - c.len()));
-        for r in &self.runs {
-            if r.len >= c.len() {
-                let mut i = r.cur;
-                while i < r.end && u64::from(self.entries[i as usize].prefix.addr().0) < c_end {
-                    desc.push(i);
-                    i += 1;
+        for l in &self.lens {
+            if l.len >= c.len() {
+                let (mut span, mut t) = (l.span, l.cur);
+                'rules: while span < l.end {
+                    while t < self.spans[span].end {
+                        if u64::from(self.table[t as usize].addr().0) >= c_end {
+                            break 'rules;
+                        }
+                        desc.push(self.rule(span, t));
+                        t += 1;
+                    }
+                    span += 1;
+                    if span < l.end {
+                        t = self.spans[span].start;
+                    }
                 }
-            } else if r.cur > r.start && self.entries[r.cur as usize - 1].prefix.contains_prefix(c)
+            } else if let Some(e) = self
+                .before_cursor(l)
+                .filter(|e| e.prefix.contains_prefix(c))
             {
-                anc.push(r.cur - 1);
+                anc.push(e);
             }
         }
     }
@@ -271,7 +339,7 @@ impl HopCodex {
         Some(s)
     }
 
-    fn set_of_entry(&mut self, fib: &Fib, e: &FibEntry) -> Option<HopSet> {
+    fn set_of_entry(&mut self, fib: &Fib, e: FibEntry) -> Option<HopSet> {
         if let Some(s) = self.pool[e.set as usize] {
             return Some(s);
         }
@@ -307,7 +375,7 @@ impl HopCodex {
 
     /// Does the entry forward to exactly the expected hop set?
     /// Verdict-identical to `fib.next_hops(e) == expected`.
-    fn hops_match(&mut self, fib: &Fib, e: &FibEntry, expected: &[Ipv4]) -> bool {
+    fn hops_match(&mut self, fib: &Fib, e: FibEntry, expected: &[Ipv4]) -> bool {
         if self.enabled {
             let key = expected.as_ptr() as usize;
             if let Some((s, p, v)) = self.last_verdict {
@@ -457,12 +525,11 @@ impl TrieEngine {
         stretches: impl Iterator<Item = Stretch<'c>>,
         tagged: &mut Vec<(u32, Violation)>,
     ) {
-        let entries = fib.entries();
         let mut walk = FibWalk::new(fib);
         let mut codex = HopCodex::new(fib);
         // Scratch reused across contracts.
-        let mut desc: Vec<u32> = Vec::new();
-        let mut anc: Vec<u32> = Vec::new();
+        let mut desc: Vec<FibEntry> = Vec::new();
+        let mut anc: Vec<FibEntry> = Vec::new();
         let mut cviol: Vec<Violation> = Vec::new();
         let mut prior_prefix: Option<Prefix> = None;
         let mut prior_missing = false;
@@ -472,8 +539,7 @@ impl TrieEngine {
             while i < st.len() {
                 walk.advance(st.dfs[i].0);
                 if let Expectation::NextHops(expected) = st.expectation {
-                    if let Some((first, n)) = walk.exact_stretch(&st.dfs[i..]) {
-                        let e = &entries[first];
+                    if let Some((e, n)) = walk.exact_stretch(&st.dfs[i..]) {
                         if !codex.hops_match(fib, e, expected) {
                             for (tag, c) in (i..i + n).map(|k| st.contract(k)) {
                                 let v = ViolationReason::NextHopMismatch {
@@ -511,10 +577,10 @@ impl TrieEngine {
 
     /// Judge specific contracts without the merge walk: candidates
     /// come from binary searches over the `(descending length,
-    /// ascending address)` entry order — one address-range probe per
-    /// length run at or below the contract's length for descendants,
-    /// one address probe per shorter run for the unique possible
-    /// ancestor. The candidate set `{r | C ⊆ r ∨ r ⊆ C}` and its
+    /// ascending address)` prefix table and the FIB's runs — one
+    /// address-range probe per length at or below the contract's length
+    /// for descendants, one address probe per shorter length for the
+    /// unique possible ancestor. The candidate set `{r | C ⊆ r ∨ r ⊆ C}` and its
     /// judging order are exactly the walk's, so verdicts stay
     /// byte-identical; only the lookup strategy differs. Worth it when
     /// a delta re-checks a handful of contracts in a large table:
@@ -528,11 +594,10 @@ impl TrieEngine {
         specs: &[(u32, ContractRef<'_>)],
         tagged: &mut Vec<(u32, Violation)>,
     ) {
-        let entries = fib.entries();
-        let runs = length_runs(entries);
+        let walk = FibWalk::new(fib);
         let mut codex = HopCodex::new(fib);
-        let mut desc: Vec<u32> = Vec::new();
-        let mut anc: Vec<u32> = Vec::new();
+        let mut desc: Vec<FibEntry> = Vec::new();
+        let mut anc: Vec<FibEntry> = Vec::new();
         let mut cviol: Vec<Violation> = Vec::new();
         let mut prior_prefix: Option<Prefix> = None;
         let mut prior_missing = false;
@@ -545,27 +610,39 @@ impl TrieEngine {
             anc.clear();
             let c_addr = c.prefix.addr();
             let c_end = u64::from(c_addr.0) + (1u64 << (32 - c.prefix.len()));
-            for r in &runs {
-                let (s, run) = (r.start, &entries[r.start as usize..r.end as usize]);
-                if r.len >= c.prefix.len() {
+            for l in &walk.lens {
+                let spans = &walk.spans[l.first..l.end];
+                let (lo, hi) = (spans[0].start as usize, spans[spans.len() - 1].end as usize);
+                let rules = &walk.table[lo..hi];
+                // The present rules among table indices `a..b`.
+                let present = |a: usize, b: usize, out: &mut Vec<FibEntry>| {
+                    let (a, b) = ((lo + a) as u32, (lo + b) as u32);
+                    let from = spans.partition_point(|s| s.end <= a);
+                    for (k, s) in spans.iter().enumerate().skip(from) {
+                        if s.start >= b {
+                            break;
+                        }
+                        for t in s.start.max(a)..s.end.min(b) {
+                            out.push(walk.rule(l.first + k, t));
+                        }
+                    }
+                };
+                if l.len >= c.prefix.len() {
                     // Descendants: aligned blocks no larger than the
                     // contract's lie entirely inside it or entirely
                     // outside, so containment is an address-range test.
-                    let lo = run.partition_point(|r| r.prefix.addr() < c_addr);
-                    let hi = lo
-                        + run[lo..].partition_point(|r| {
-                            u64::from(r.prefix.addr().0) < c_end
-                        });
-                    desc.extend(s + lo as u32..s + hi as u32);
+                    let a = rules.partition_point(|p| p.addr() < c_addr);
+                    let b = a + rules[a..].partition_point(|p| u64::from(p.addr().0) < c_end);
+                    present(a, b, &mut desc);
                 } else {
-                    // Ancestors: within one length run blocks are
-                    // disjoint, so the only rule that can contain the
-                    // contract is the last one at or below its address.
-                    // Runs arrive in descending length, matching the
-                    // walk's leaf→root ancestor order.
-                    let p = run.partition_point(|r| r.prefix.addr() <= c_addr);
-                    if p > 0 && run[p - 1].prefix.contains_prefix(c.prefix) {
-                        anc.push(s + p as u32 - 1);
+                    // Ancestors: within one length blocks are disjoint,
+                    // so the only rule that can contain the contract is
+                    // the last one at or below its address. Lengths
+                    // come longest first, matching the walk's leaf→root
+                    // ancestor order.
+                    let q = rules.partition_point(|p| p.addr() <= c_addr);
+                    if q > 0 && rules[q - 1].contains_prefix(c.prefix) {
+                        present(q - 1, q, &mut anc);
                     }
                 }
             }
@@ -589,14 +666,13 @@ impl TrieEngine {
     fn judge_one(
         &self,
         fib: &Fib,
-        descendants: &mut [u32],
-        ancestors: &[u32],
+        descendants: &mut [FibEntry],
+        ancestors: &[FibEntry],
         c: ContractRef<'_>,
         codex: &mut HopCodex,
         prior_missing: bool,
         out: &mut Vec<Violation>,
     ) {
-        let entries = fib.entries();
         let expected = match c.expectation {
             Expectation::NextHops(h) => h,
             Expectation::Local => {
@@ -612,7 +688,7 @@ impl TrieEngine {
                 return;
             }
         };
-        let mismatch = |e: &FibEntry, codex: &mut HopCodex| {
+        let mismatch = |e: FibEntry, codex: &mut HopCodex| {
             let matches = !e.local && codex.hops_match(fib, e, expected);
             (!matches).then(|| {
                 Violation::of(
@@ -628,9 +704,8 @@ impl TrieEngine {
         // Fast path (the common workload): the only candidate that can
         // serve the range is an exact-match rule with no extensions —
         // one mask compare, no coverage accumulator, no allocation.
-        if descendants.len() == 1 && entries[descendants[0] as usize].prefix == c.prefix {
-            let e = &entries[descendants[0] as usize];
-            if let Some(v) = mismatch(e, codex) {
+        if descendants.len() == 1 && descendants[0].prefix == c.prefix {
+            if let Some(v) = mismatch(descendants[0], codex) {
                 out.push(v);
             }
             return;
@@ -640,15 +715,15 @@ impl TrieEngine {
         // contract). Same-length ties break on descending address —
         // the emission order of the reference engine's trie walk — so
         // reports stay byte-identical across the rewrite.
-        descendants.sort_unstable_by_key(|&i| {
-            let p = entries[i as usize].prefix;
-            (std::cmp::Reverse(p.len()), std::cmp::Reverse(p.addr()))
+        descendants.sort_unstable_by_key(|e| {
+            (
+                std::cmp::Reverse(e.prefix.len()),
+                std::cmp::Reverse(e.prefix.addr()),
+            )
         });
         // Minimal length, minimal address sorts last: an exact-match
         // rule can only be the final descendant.
-        let exact = descendants
-            .last()
-            .is_some_and(|&i| entries[i as usize].prefix == c.prefix);
+        let exact = descendants.last().is_some_and(|e| e.prefix == c.prefix);
         if self.strict && !exact {
             // Production strictness: the exact specific route must be
             // programmed, whatever broader rules would do (§2.6.2
@@ -656,8 +731,7 @@ impl TrieEngine {
             out.push(Violation::of(c, ViolationReason::MissingRoute));
         }
         let mut coverage = Coverage::new(c.prefix.range());
-        for &i in descendants.iter().chain(ancestors.iter()) {
-            let e = &entries[i as usize];
+        for &e in descendants.iter().chain(ancestors.iter()) {
             // A rule only matters for the part of the contract range it
             // actually serves: extensions serve their own range; an
             // ancestor rule serves whatever is left uncovered. A rule
@@ -781,7 +855,7 @@ impl Engine for TrieEngine {
         let n_specs: usize = stretches.iter().map(Stretch::len).sum();
         // The walk costs O(table); a handful of re-checked contracts is
         // cheaper to serve by binary search straight off the sorted
-        // entries (the what-if sweep's per-scenario shape: one or two
+        // table and runs (the what-if sweep's per-scenario shape: one or two
         // touched prefixes per changed device). Both produce identical
         // verdicts.
         if n_specs * 16 <= fib.len() {

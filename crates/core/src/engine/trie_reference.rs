@@ -23,6 +23,8 @@ use std::collections::HashMap;
 /// Binary prefix trie over FIB entries.
 struct Trie {
     nodes: Vec<Node>,
+    /// The FIB's entries, indexed by the nodes.
+    entries: Vec<FibEntry>,
 }
 
 #[derive(Default, Clone)]
@@ -36,9 +38,10 @@ impl Trie {
     fn build(fib: &Fib) -> Trie {
         let mut t = Trie {
             nodes: vec![Node::default()],
+            entries: fib.entries().collect(),
         };
-        for (i, e) in fib.entries().iter().enumerate() {
-            t.insert(e.prefix, i as u32);
+        for i in 0..t.entries.len() {
+            t.insert(t.entries[i].prefix, i as u32);
         }
         t
     }
@@ -189,7 +192,7 @@ impl ReferenceTrieEngine {
         let mut candidates = trie.candidates(c.prefix);
         // Descending prefix length = longest-prefix-match precedence.
         candidates.sort_by(|&a, &b| {
-            let (ea, eb) = (&fib.entries()[a as usize], &fib.entries()[b as usize]);
+            let (ea, eb) = (&trie.entries[a as usize], &trie.entries[b as usize]);
             eb.prefix.len().cmp(&ea.prefix.len())
         });
         let mut coverage = Coverage::new(c.prefix.range());
@@ -200,7 +203,7 @@ impl ReferenceTrieEngine {
             out.push(Violation::of(c, ViolationReason::MissingRoute));
         }
         for idx in candidates {
-            let e: &FibEntry = &fib.entries()[idx as usize];
+            let e: FibEntry = trie.entries[idx as usize];
             // A rule only matters for the part of the contract range it
             // actually serves (see the flat engine for the full
             // argument); fully shadowed rules are never judged.

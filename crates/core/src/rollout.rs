@@ -47,8 +47,7 @@
 //! Build a planner with
 //! [`ValidatorBuilder::build_planner`](crate::ValidatorBuilder::build_planner),
 //! a plain §2.7 pre-checker with
-//! [`build_precheck`](crate::ValidatorBuilder::build_precheck); the
-//! `dcemu` crate's old free functions are deprecated shims over these.
+//! [`build_precheck`](crate::ValidatorBuilder::build_precheck).
 
 use crate::contracts::DeviceContracts;
 use crate::delta::VerdictMemo;
@@ -66,7 +65,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// One configuration change under review — the shared change
-/// vocabulary of the pre-checker, the rollout planner, and `dcemu`.
+/// vocabulary of the pre-checker and the rollout planner.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigChange {
     /// Replace a device's configuration overrides (route maps, ECMP

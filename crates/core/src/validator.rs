@@ -221,8 +221,7 @@ impl ValidatorBuilder {
     /// `production`, validating with this builder's contracts, engine,
     /// and thread count. This (and
     /// [`build_planner`](Self::build_planner)) is the construction
-    /// route that replaced `dcemu`'s free-standing `precheck()` and
-    /// `ChangeWorkflow`.
+    /// route for the §2.7 pre-check.
     pub fn build_precheck(self, production: &crate::ManagedNetwork) -> crate::Prechecker {
         let engine = self.engine.instantiate();
         let engine: Box<dyn Engine + Sync> = match &self.registry {

@@ -28,7 +28,7 @@ impl SnapshotSource for LiveSource {
 /// Drop the device's first non-local route (deterministic churn, so
 /// every table a reader can observe is known in advance).
 fn churned(fib: &Fib) -> Fib {
-    let target = fib.entries().iter().find(|e| !e.local).map(|e| e.prefix);
+    let target = fib.entries().find(|e| !e.local).map(|e| e.prefix);
     let mut b = FibBuilder::new(fib.device());
     for e in fib.entries() {
         if Some(e.prefix) == target {

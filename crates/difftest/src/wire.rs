@@ -10,7 +10,12 @@
 //!
 //! Decoded snapshots are additionally pushed through `Fib::from_wire`
 //! to make sure a hostile snapshot can be rejected but never panic the
-//! store.
+//! store. Every table it accepts must survive `to_wire` → `from_wire`
+//! with the same entries and content hash (and a second round trip
+//! must reproduce the first exactly), and `Fib::delta` followed by
+//! `apply_delta` must turn one decoded table into another. Random
+//! snapshots mix prefix lengths 0–32 in any order, so these tables
+//! exercise the private prefix tables of entry-built FIBs.
 
 use crate::rng::Rng;
 use crate::Failure;
@@ -36,6 +41,63 @@ fn random_snapshot(r: &mut Rng) -> WireSnapshot {
                 next_hops: random_hops(r),
             })
             .collect(),
+    }
+}
+
+/// Same entries in the same order: prefixes, locality and next-hop
+/// sets, whatever the pool ids or prefix tables.
+fn same_entries(a: &Fib, b: &Fib) -> bool {
+    a.device() == b.device()
+        && a.len() == b.len()
+        && a.entries().zip(b.entries()).all(|(x, y)| {
+            x.prefix == y.prefix && x.local == y.local && a.next_hops(x) == b.next_hops(y)
+        })
+}
+
+/// The table-level invariants of one accepted snapshot.
+fn check_table(fib: &Fib) -> Option<String> {
+    let back = match Fib::from_wire(&fib.to_wire()) {
+        Ok(back) => back,
+        Err(e) => {
+            return Some(format!(
+                "from_wire rejected to_wire of an accepted table: {e}"
+            ))
+        }
+    };
+    if !same_entries(&back, fib) || back.content_hash() != fib.content_hash() {
+        return Some(format!(
+            "to_wire/from_wire changed the table: {fib:?} -> {back:?}"
+        ));
+    }
+    match Fib::from_wire(&back.to_wire()) {
+        Ok(again) if again == back => None,
+        again => Some(format!(
+            "a second round trip differs: {back:?} -> {again:?}"
+        )),
+    }
+}
+
+/// `delta` + `apply_delta` between two decoded random tables of one
+/// device.
+fn check_table_delta(r: &mut Rng) -> Option<String> {
+    let device = r.below(1 << 16) as u32;
+    let table = |r: &mut Rng| {
+        let mut s = random_snapshot(r);
+        s.device = device;
+        Fib::from_wire(&s).ok()
+    };
+    let (Some(a), Some(b)) = (table(r), table(r)) else {
+        return None;
+    };
+    let d = Fib::delta(&a, &b);
+    match a.apply_delta(&d) {
+        Ok(c) if same_entries(&c, &b) && c.content_hash() == b.content_hash() => None,
+        Ok(c) => Some(format!(
+            "apply_delta(delta(a, b)) is not b: {a:?} -> {b:?} gave {c:?}"
+        )),
+        Err(e) => Some(format!(
+            "apply_delta rejected delta(a, b): {e} ({a:?} -> {b:?})"
+        )),
     }
 }
 
@@ -89,6 +151,9 @@ fn mutate(r: &mut Rng, bytes: &mut [u8]) {
 fn check_snapshot(r: &mut Rng) -> Option<String> {
     let s = random_snapshot(r);
     let bytes = s.encode();
+    if let Some(msg) = Fib::from_wire(&s).ok().and_then(|fib| check_table(&fib)) {
+        return Some(msg);
+    }
 
     match WireSnapshot::decode(&bytes) {
         Ok(back) if back == s => {}
@@ -124,6 +189,9 @@ fn check_snapshot(r: &mut Rng) -> Option<String> {
                         snap.entries.len(),
                         fib.len()
                     ));
+                }
+                if let Some(msg) = check_table(&fib) {
+                    return Some(msg);
                 }
             }
         }
@@ -169,7 +237,10 @@ fn check_delta(r: &mut Rng) -> Option<String> {
 
 pub(crate) fn run(seed: u64) -> Result<(), Failure> {
     let mut r = Rng::new(seed);
-    if let Some(summary) = check_snapshot(&mut r).or_else(|| check_delta(&mut r)) {
+    if let Some(summary) = check_snapshot(&mut r)
+        .or_else(|| check_delta(&mut r))
+        .or_else(|| check_table_delta(&mut r))
+    {
         // The codec cases are already tiny; the seed itself is the
         // minimized reproduction.
         return Err(Failure {

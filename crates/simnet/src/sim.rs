@@ -591,7 +591,6 @@ fn churned(current: &Fib, healthy: &Fib, kind: ChurnKind) -> Fib {
         ChurnKind::DropRoute { index } => {
             let eligible: Vec<_> = current
                 .entries()
-                .iter()
                 .filter(|e| !e.local)
                 .map(|e| e.prefix)
                 .collect();
@@ -611,8 +610,7 @@ fn churned(current: &Fib, healthy: &Fib, kind: ChurnKind) -> Fib {
         ChurnKind::NarrowEcmp { index } => {
             let eligible: Vec<_> = current
                 .entries()
-                .iter()
-                .filter(|e| current.next_hops(e).len() > 1)
+                .filter(|&e| current.next_hops(e).len() > 1)
                 .map(|e| e.prefix)
                 .collect();
             if eligible.is_empty() {

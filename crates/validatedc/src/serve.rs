@@ -51,7 +51,6 @@ impl SnapshotSource for ChurningSource {
 pub fn drop_route(fib: &Fib, index: usize) -> Fib {
     let eligible: Vec<_> = fib
         .entries()
-        .iter()
         .filter(|e| !e.local)
         .map(|e| e.prefix)
         .collect();

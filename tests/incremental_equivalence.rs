@@ -173,8 +173,7 @@ fn incremental_equals_full_on_default_clos_churn() {
     for (fib, dc) in fibs.iter().zip(&contracts) {
         let Some(target) = fib
             .entries()
-            .iter()
-            .find(|e| !e.local && fib.next_hops(e).len() > 1)
+            .find(|&e| !e.local && fib.next_hops(e).len() > 1)
             .map(|e| e.prefix)
         else {
             continue;
